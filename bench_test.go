@@ -341,7 +341,7 @@ func BenchmarkEncodePass(b *testing.B) {
 	b.ReportMetric(float64(d.Graph().NumEdges()), "edges")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.ForceReencode(nil)
+		d.ReencodeNow(nil, false)
 	}
 }
 

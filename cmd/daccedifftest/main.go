@@ -50,7 +50,7 @@ func main() {
 	shrinkBudget := flag.Int("shrink-budget", 150, "max harness runs the shrinker may spend")
 	saveSpec := flag.String("save-spec", "", "write the first failing spec (shrunk when -shrink) to this JSON file")
 	stress := flag.Bool("stress", false, "run the live concurrency stress driver instead of trace replay (best under -race)")
-	stressForcers := flag.Int("stress-forcers", 2, "goroutines hammering ForceReencode during -stress")
+	stressForcers := flag.Int("stress-forcers", 2, "goroutines forcing full ReencodeNow passes during -stress")
 	jsonOut := flag.Bool("json", false, "emit each run's full report as JSON on stdout")
 	metrics := flag.Bool("metrics", false, "print a telemetry metrics snapshot after the run")
 	metricsFormat := flag.String("metrics-format", "prom", "metrics snapshot format: prom|json")

@@ -40,9 +40,9 @@ func Example() {
 	// Output: main → parse → emit
 }
 
-// ExampleEncoder_ForceReencode shows that contexts captured before a
+// ExampleEncoder_ReencodeNow shows that contexts captured before a
 // re-encoding stay decodable through their epoch's dictionary.
-func ExampleEncoder_ForceReencode() {
+func ExampleEncoder_ReencodeNow() {
 	b := dacce.NewBuilder()
 	mainF := b.Func("main")
 	f := b.Func("f")
@@ -60,7 +60,7 @@ func ExampleEncoder_ForceReencode() {
 		return
 	}
 
-	enc.ForceReencode(nil) // gTimeStamp advances; old epoch's dictionary is retained
+	enc.ReencodeNow(nil, false) // gTimeStamp advances; old epoch's dictionary is retained
 	ctx, err := enc.Decode(old)
 	if err != nil {
 		fmt.Println(err)

@@ -82,7 +82,7 @@ func main() {
 
 	// Re-encode explicitly and show that older captures still decode
 	// through their epoch's dictionary (paper Fig. 6).
-	enc.ForceReencode(nil)
+	enc.ReencodeNow(nil, false)
 	fmt.Printf("\nafter forced re-encoding (epoch now %d):\n", enc.Epoch())
 	ctx, err := enc.Decode(captured[0])
 	if err != nil {

@@ -27,7 +27,7 @@ func TestRecursionCompression(t *testing.T) {
 
 	b.Body(mainF, func(x prog.Exec) {
 		x.Call(mf, prog.NoFunc) // phase 1: discover main→f, f→f shallowly
-		d.ForceReencode(x)
+		d.ReencodeNow(x, false)
 		limit = deep
 		x.Call(mf, prog.NoFunc) // phase 2: deep recursion under compression
 	})
@@ -137,7 +137,7 @@ func TestTailCallRestore(t *testing.T) {
 		// mid-flight tail fix-up of A's active frame).
 		progtest.By(fx.S("AC"), progtest.By(fx.S("CD"), progtest.By(fx.S("DF")))),
 		progtest.By(fx.S("AB"), progtest.By(fx.S("BD"), progtest.By(fx.S("DF")))),
-		{Site: fx.S("AB"), Target: prog.NoFunc, Hook: func(x prog.Exec) { d.ForceReencode(x) },
+		{Site: fx.S("AB"), Target: prog.NoFunc, Hook: func(x prog.Exec) { d.ReencodeNow(x, false) },
 			Sub: []progtest.Call{progtest.By(fx.S("BD"))}},
 		// Exercise: ACDF then ABDF with captures in F.
 		progtest.By(fx.S("AC"), progtest.By(fx.S("CD"),
@@ -196,7 +196,7 @@ func TestReencodeMidRecursion(t *testing.T) {
 		switch {
 		case x.Depth() == 20: // f sits at even depths in the f→g→f cycle
 			take(th) // pre-re-encode capture at depth 20
-			d.ForceReencode(x)
+			d.ReencodeNow(x, false)
 			take(th) // post-re-encode capture, same stack
 			x.Call(fg, prog.NoFunc)
 		case x.Depth() < deep:
@@ -308,7 +308,7 @@ func TestPLTAndLazyModule(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			x.Call(mp, prog.NoFunc)
 		}
-		d.ForceReencode(x)
+		d.ReencodeNow(x, false)
 		x.Call(mp, prog.NoFunc)
 	})
 	b.Body(pf, func(x prog.Exec) { x.Call(pp, prog.NoFunc) })
@@ -363,7 +363,7 @@ func TestIndirectHashTable(t *testing.T) {
 		for _, tg := range targets {
 			x.Call(ind, tg)
 		}
-		d.ForceReencode(x)
+		d.ReencodeNow(x, false)
 		round = 1
 		for _, tg := range targets {
 			x.Call(ind, tg)
@@ -473,7 +473,7 @@ func TestTailIndirect(t *testing.T) {
 		for i := 0; i < 30; i++ {
 			x.Call(md, prog.NoFunc)
 		}
-		d.ForceReencode(x)
+		d.ReencodeNow(x, false)
 		for i := 0; i < 30; i++ {
 			x.Call(md, prog.NoFunc)
 		}

@@ -69,7 +69,7 @@ func TestDeltaIndexAndStubSetAgainstFullRebuild(t *testing.T) {
 	d.InjectDiscoveries(base)
 	m := machine.New(p, d, machine.Config{})
 	d.Install(m)
-	d.ForceReencode(nil) // epoch 1: the full baseline the delta builds on
+	d.ReencodeNow(nil, false) // epoch 1: the full baseline the delta builds on
 
 	d.InjectDiscoveries(extra)
 	prev := d.cur()
@@ -200,14 +200,14 @@ func TestSelectiveTranslationCounters(t *testing.T) {
 	d.InjectDiscoveries(base)
 	m := machine.New(p, d, machine.Config{})
 	d.Install(m)
-	d.ForceReencode(nil)
+	d.ReencodeNow(nil, false)
 	d.InjectDiscoveries(extra)
 	d.ReencodeNow(nil, true)
 
 	st := d.Stats()
 	last := st.History[len(st.History)-1]
-	if !last.Incremental || !last.Concurrent {
-		t.Fatalf("expected an incremental concurrent pass, got %+v", last)
+	if !last.Incremental {
+		t.Fatalf("expected an incremental pass, got %+v", last)
 	}
 	if last.ThreadsTranslated != 0 || last.ThreadsSkipped != 0 || last.FramesReplayed != 0 {
 		t.Errorf("threadless pass recorded translation work: %+v", last)

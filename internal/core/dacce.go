@@ -83,13 +83,6 @@ type Options struct {
 	// triggers still re-encode fully, so frequency reordering keeps
 	// happening.
 	Incremental bool
-	// SerializedDiscovery routes every handler trap through the global
-	// scheme mutex — the pre-sharding discipline, kept as the baseline
-	// the warmup suite compares the sharded cold-start path against
-	// (and as an A/B debugging aid). Off by default: discovery uses
-	// per-shard locks and per-thread publication buffers, and
-	// concurrent trigger firings coalesce into one re-encoding pass.
-	SerializedDiscovery bool
 	// TrackProgress records a Fig. 9-style progress point every
 	// ProgressEvery samples.
 	TrackProgress bool
@@ -157,7 +150,7 @@ type DACCE struct {
 	opt Options
 
 	// m is the installed machine, published atomically so an external
-	// ForceReencode can race Install safely (it simply sees no machine
+	// ReencodeNow can race Install safely (it simply sees no machine
 	// and skips the stop-the-world).
 	m atomic.Pointer[machine.Machine]
 	p *prog.Program
@@ -204,8 +197,8 @@ type DACCE struct {
 	// every thread's counters cross the threshold together — coalesce
 	// into a single stop-the-world pass instead of a convoy of stoppers
 	// each paying a world-stop to discover the winner already reset the
-	// counters. Bypassed by ForceReencode and by SerializedDiscovery
-	// (which models the old convoy faithfully).
+	// counters. Bypassed by ReencodeNow, whose pass re-prepares if an
+	// adaptive pass commits first.
 	reencodeGate atomic.Bool
 
 	// edgesDiscovered counts first invocations seen by the handler;
@@ -657,8 +650,8 @@ func (d *DACCE) PauseHist() *telemetry.Histogram { return d.pauseHist }
 
 // PrepareHist returns the live concurrent-prepare duration histogram:
 // the off-pause portion of each bounded-pause re-encoding (assignment +
-// decode-index construction with the world still running). Classic
-// all-in-pause passes do not observe into it.
+// decode-index construction with the world still running). Every
+// pass observes into it.
 func (d *DACCE) PrepareHist() *telemetry.Histogram { return d.prepHist }
 
 // TrapHist returns the live runtime-handler latency histogram (wall

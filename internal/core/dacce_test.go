@@ -9,7 +9,7 @@ import (
 )
 
 // quietTriggers disables automatic re-encoding so tests control epochs
-// explicitly via ForceReencode.
+// explicitly via ReencodeNow.
 var quietTriggers = Triggers{
 	NewEdges:       1 << 30,
 	UnencodedCalls: 1 << 60,
@@ -42,7 +42,7 @@ func TestSection31WorkedExample(t *testing.T) {
 		// Re-encode from inside a later visit of C (the whole phase-1
 		// path has returned by then), so AC and CD become encoded.
 		{Site: fx.S("AC"), Target: prog.NoFunc, Hook: func(x prog.Exec) {
-			d.ForceReencode(x)
+			d.ReencodeNow(x, false)
 		}},
 		// Take edge AD for the first time and capture inside D.
 		{Site: fx.S("AD"), Target: prog.NoFunc, Hook: func(x prog.Exec) {
@@ -116,7 +116,7 @@ func TestFig3IndirectExample(t *testing.T) {
 		progtest.By(fx.S("AC"), progtest.By(fx.S("CD"), progtest.By(fx.S("DF")))),
 		// Re-encode, then take the indirect call C→E (first time) and
 		// E→I (first time), capturing in I.
-		{Site: fx.S("AC"), Target: prog.NoFunc, Hook: func(x prog.Exec) { d.ForceReencode(x) },
+		{Site: fx.S("AC"), Target: prog.NoFunc, Hook: func(x prog.Exec) { d.ReencodeNow(x, false) },
 			Sub: []progtest.Call{
 				progtest.ByT(fx.S("Cind"), fx.F("E"),
 					progtest.Call{Site: fx.S("EI"), Target: prog.NoFunc, Hook: func(x prog.Exec) {
@@ -160,7 +160,7 @@ func TestFig5RecursionExample(t *testing.T) {
 	// D-DA→A-AD→D is driven with a capture in the final D.
 	root := []progtest.Call{
 		progtest.By(fx.S("AC"), progtest.By(fx.S("CD"))),
-		{Site: fx.S("AC"), Target: prog.NoFunc, Hook: func(x prog.Exec) { d.ForceReencode(x) }},
+		{Site: fx.S("AC"), Target: prog.NoFunc, Hook: func(x prog.Exec) { d.ReencodeNow(x, false) }},
 		progtest.By(fx.S("AD"), // A→D
 			progtest.By(fx.S("DA"), // D→A
 				progtest.By(fx.S("AC"), // A→C
@@ -216,7 +216,7 @@ func TestEveryCallSampledDecodes(t *testing.T) {
 			progtest.By(fx.S("CD"), progtest.By(fx.S("DF"))),
 			progtest.ByT(fx.S("Cind"), fx.F("E"), progtest.By(fx.S("EI"))),
 			progtest.ByT(fx.S("Cind"), fx.F("I"))),
-		{Site: fx.S("AB"), Target: prog.NoFunc, Hook: func(x prog.Exec) { d.ForceReencode(x) },
+		{Site: fx.S("AB"), Target: prog.NoFunc, Hook: func(x prog.Exec) { d.ReencodeNow(x, false) },
 			Sub: []progtest.Call{progtest.By(fx.S("BD"), progtest.By(fx.S("DF")))}},
 		progtest.By(fx.S("AC"),
 			progtest.ByT(fx.S("Cind"), fx.F("E"), progtest.By(fx.S("EI"))),

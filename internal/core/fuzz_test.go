@@ -28,7 +28,7 @@ func fuzzEncoder(tb testing.TB) (*DACCE, *prog.Program) {
 		for i := 0; i < 6; i++ {
 			x.Call(mf, prog.NoFunc)
 			if i == 2 || i == 4 {
-				d.ForceReencode(x)
+				d.ReencodeNow(x, false)
 			}
 		}
 	})

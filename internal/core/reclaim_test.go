@@ -90,7 +90,7 @@ func TestLowWaterEpoch(t *testing.T) {
 	// Retained samples pin the floor: a forced pass must not free
 	// anything below them.
 	nodes := d.DAG().Len()
-	d.ForceReencode(nil)
+	d.ReencodeNow(nil, false)
 	if got := d.Stats().DAGCollected; got != 0 && nodes > 0 && minEpoch == 0 {
 		t.Fatalf("collected %d nodes while epoch 0 still pinned", got)
 	}
@@ -102,7 +102,7 @@ func TestLowWaterEpoch(t *testing.T) {
 	if lw, cur := d.LowWaterEpoch(), d.Epoch(); lw != cur {
 		t.Fatalf("low-water epoch %d after releasing all captures, want current %d", lw, cur)
 	}
-	d.ForceReencode(nil)
+	d.ReencodeNow(nil, false)
 	st := d.Stats()
 	if st.DAGCollections == 0 {
 		t.Fatal("no collection ran after all captures were released")
@@ -141,7 +141,7 @@ func TestDecodeIdentityUnderCollection(t *testing.T) {
 	go func() {
 		defer collectorDone.Done()
 		for !stop.Load() {
-			d.ForceReencode(nil)
+			d.ReencodeNow(nil, false)
 		}
 	}()
 	var firstErr atomic.Pointer[string]
@@ -212,7 +212,7 @@ func TestSoakBoundedFootprint(t *testing.T) {
 		if _, err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
-		d.ForceReencode(nil)
+		d.ReencodeNow(nil, false)
 		n := d.DAG().Len()
 		switch {
 		case r == rounds/4:

@@ -24,11 +24,12 @@ const (
 	// passAuto: trigger-gated; incremental renumbering when only edge
 	// discovery fired (the adaptive regime of paper §4).
 	passAuto passMode = iota
-	// passForceFull: unconditional full renumbering (ForceReencode).
+	// passForceFull: unconditional full renumbering (ReencodeNow with
+	// incremental unset).
 	passForceFull
 	// passForceIncremental: unconditional, incremental renumbering
-	// preferred — the experiment suites' entry point for driving
-	// bounded-pause passes without racing the adaptive thresholds.
+	// preferred (ReencodeNow with incremental set) — drives bounded-pause
+	// passes without racing the adaptive thresholds.
 	passForceIncremental
 )
 
@@ -107,11 +108,11 @@ func (ts trigSnap) reason(force bool) telemetry.Reason {
 func (d *DACCE) triggersFired() bool { return d.trigSnapshot().fired() }
 
 // passPlan is everything one re-encoding pass decided, computed by
-// preparePlanLocked and applied by commitPlanLocked. On the organizer's
-// concurrent path the plan is prepared with the world still running and
-// committed inside a short stop-the-world window; on the classic path
-// (SerializedDiscovery, ForceReencode) both halves run inside the
-// pause.
+// preparePlanLocked and applied by commitPlanLocked. The plan is
+// prepared with the world still running and committed inside a short
+// stop-the-world window; only a plan invalidated by an intervening pass
+// (or one whose stragglers defeat the delta refresh) is re-prepared
+// inside the pause.
 type passPlan struct {
 	// prevEpoch/prevMaxID identify the snapshot the plan was computed
 	// against; a commit against any other epoch must re-prepare.
@@ -411,7 +412,7 @@ func (d *DACCE) commitPlanLocked(self *machine.Thread, plan *passPlan, start, pa
 	if self != nil {
 		self.C.ReencodeCost += cost
 	}
-	concurrent := !pauseStart.Equal(start)
+	prepNanos := pauseStart.Sub(start).Nanoseconds()
 	if plan.incremental {
 		d.stats.IncrementalPasses++
 	}
@@ -427,7 +428,6 @@ func (d *DACCE) commitPlanLocked(self *machine.Thread, plan *passPlan, start, pa
 		Overflowed:        plan.asn.Overflowed,
 		CostCycles:        cost,
 		Incremental:       plan.incremental,
-		Concurrent:        concurrent,
 		ChangedEdges:      len(plan.changed),
 		IndexEntries:      plan.indexEntries,
 		SitesRebuilt:      sitesRebuilt,
@@ -442,7 +442,7 @@ func (d *DACCE) commitPlanLocked(self *machine.Thread, plan *passPlan, start, pa
 		IndexNanos:        plan.indexNanos,
 		StubNanos:         stubNanos,
 		TranslateNanos:    translateNanos,
-		PrepareNanos:      prepNanosOf(start, pauseStart),
+		PrepareNanos:      prepNanos,
 	})
 	d.lastPlan = plan
 
@@ -457,9 +457,7 @@ func (d *DACCE) commitPlanLocked(self *machine.Thread, plan *passPlan, start, pa
 	pause := time.Since(pauseStart).Nanoseconds()
 	d.stats.History[len(d.stats.History)-1].PauseNanos = pause
 	d.pauseHist.Observe(pause)
-	if concurrent {
-		d.prepHist.Observe(prepNanosOf(start, pauseStart))
-	}
+	d.prepHist.Observe(prepNanos)
 	if d.sink != nil {
 		d.sink.Emit(telemetry.Event{
 			Kind: telemetry.EvReencodeEnd, Thread: tid, Reason: plan.reason,
@@ -469,32 +467,13 @@ func (d *DACCE) commitPlanLocked(self *machine.Thread, plan *passPlan, start, pa
 	}
 }
 
-// prepNanosOf is the off-pause prepare duration of a concurrent pass;
-// zero for classic all-in-pause passes (pauseStart == start).
-func prepNanosOf(start, pauseStart time.Time) int64 {
-	if pauseStart.Equal(start) {
-		return 0
-	}
-	return pauseStart.Sub(start).Nanoseconds()
-}
-
-// reencode performs one adaptive re-encoding pass (paper §4) on the
-// classic serialized path: stop the world, then compute the new
-// numbering, snapshot the decode dictionary, regenerate stubs and
-// translate live threads — all inside the pause. Kept as the
-// SerializedDiscovery baseline and the ForceReencode fallback; the
-// organizer path (maybeReencode) prepares concurrently instead. self is
-// the triggering thread (charged the re-encoding cost), or nil when
-// invoked from outside any thread.
-func (d *DACCE) reencode(self *machine.Thread) { d.reencodeIf(self, passAuto) }
-
 // reencodeSettleRounds bounds the trigger-hysteresis hold-off: how many
 // scheduler yields the gate winner spends waiting for a concurrent
 // discovery burst to quiet down before stopping the world, so the pass
 // absorbs the whole burst instead of running again moments later.
 const reencodeSettleRounds = 8
 
-// maybeReencode is the trigger-firing entry point of the sharded path:
+// maybeReencode is the trigger-firing entry point of adaptive passes:
 // one CAS admits a single organizer, every concurrent firing returns
 // immediately (its trigger state persists, and the winner's pass will
 // either absorb it or leave the counters for the next check). The
@@ -507,11 +486,6 @@ const reencodeSettleRounds = 8
 // straggler drain, the publication and the delta stub/thread repair
 // pay a stop-the-world pause.
 func (d *DACCE) maybeReencode(self *machine.Thread) {
-	if d.opt.SerializedDiscovery {
-		d.reencode(self)
-		d.maybeCollect()
-		return
-	}
 	if !d.reencodeGate.CompareAndSwap(false, true) {
 		return
 	}
@@ -535,23 +509,16 @@ func (d *DACCE) maybeReencode(self *machine.Thread) {
 	d.reencodeConcurrent(self, passAuto)
 }
 
-// ForceReencode triggers a re-encoding pass unconditionally. exec is
-// the currently executing thread when called from inside a function
-// body, or nil when the machine is idle (before or after a run).
-func (d *DACCE) ForceReencode(exec prog.Exec) {
-	t, _ := exec.(*machine.Thread)
-	d.reencodeIf(t, passForceFull)
-	d.maybeCollect()
-}
-
 // ReencodeNow runs one re-encoding pass immediately, regardless of
-// trigger state, on the organizer's concurrent-prepare path. With
+// trigger state, and returns once the new epoch is published. With
 // incremental set (and Options.Incremental on) the pass renumbers only
 // the subgraph affected by edges added since the last pass; otherwise
-// it renumbers fully, still preparing off-pause. Bypasses the
-// reencode gate like ForceReencode does — the experiment suites that
-// drive it are single-threaded organizers by construction. exec is the
-// currently executing thread, or nil when the machine is idle.
+// it renumbers fully. Either way the plan is prepared with the world
+// running and committed in a short pause. It bypasses the reencode
+// gate, so it may race an adaptive pass; whichever commits second
+// re-prepares against the other's epoch. exec is the currently
+// executing thread when called from inside a function body, or nil
+// when the machine is idle (before or after a run).
 func (d *DACCE) ReencodeNow(exec prog.Exec, incremental bool) {
 	t, _ := exec.(*machine.Thread)
 	mode := passForceFull
@@ -626,7 +593,7 @@ func (d *DACCE) reencodeConcurrent(self *machine.Thread, mode passMode) {
 	defer d.mu.Unlock()
 
 	if d.cur().epoch != plan.prevEpoch {
-		// A forced pass (which bypasses the gate) published an epoch
+		// A forced pass (ReencodeNow bypasses the gate) published an epoch
 		// between our prepare and the stop. The plan is stale; its
 		// consumed additions go back to pendingNew, and — for an auto
 		// pass — the intervening pass reset the counters, so re-check
@@ -649,64 +616,6 @@ func (d *DACCE) reencodeConcurrent(self *machine.Thread, mode passMode) {
 		}
 	}
 	d.commitPlanLocked(self, plan, start, pauseStart)
-}
-
-// reencodeIf is the classic all-in-pause pass: stop the world first,
-// then prepare and commit inside the pause. SerializedDiscovery routes
-// every adaptive pass through it (the pre-sharding baseline the warmup
-// suite measures against), and ForceReencode uses it so an external
-// caller observes the pass fully completed on return even when racing
-// the organizer.
-func (d *DACCE) reencodeIf(self *machine.Thread, mode passMode) {
-	// The pause clock starts before the world stops (see above).
-	// Aborted passes (trigger re-check, ablation cap) are not recorded —
-	// they are gate noise, not passes.
-	start := time.Now()
-	if m := d.m.Load(); m != nil {
-		m.StopTheWorld(self)
-		defer m.ResumeTheWorld(self)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-
-	// Register everything still sitting in per-thread publication
-	// buffers: the pass must see (and encode) every edge discovered
-	// before the world stopped, and pendingNew feeds the incremental
-	// refresh.
-	d.drainAllLocked()
-
-	trig := d.trigSnapshot()
-	if mode == passAuto {
-		// Another thread may have completed a pass while we waited to
-		// become the stopper; its counter reset makes the triggers
-		// false. The counters are atomic, so the same check that serves
-		// as the lock-free pre-check is authoritative here under d.mu.
-		if !trig.fired() {
-			return
-		}
-		if d.opt.MaxReencodes > 0 && d.stats.GTS >= d.opt.MaxReencodes {
-			// Ablation cap reached: keep running on the current encoding.
-			d.newEdges.Store(0)
-			d.unencCalls.Store(0)
-			d.ccOps.Store(0)
-			d.hotMiss.Store(0)
-			return
-		}
-	}
-
-	if d.sink != nil {
-		tid := int32(-1)
-		if self != nil {
-			tid = int32(self.ID())
-		}
-		d.sink.Emit(telemetry.Event{
-			Kind: telemetry.EvReencodeStart, Thread: tid, Reason: trig.reason(mode != passAuto),
-			Epoch: d.cur().epoch, Site: prog.NoSite, Fn: prog.NoFunc,
-			Value: uint64(d.g.NumEdges()),
-		})
-	}
-	plan := d.preparePlanLocked(mode, trig)
-	d.commitPlanLocked(self, plan, start, start)
 }
 
 // translateThreadLocked replays a thread's shadow stack under the
@@ -759,16 +668,6 @@ func (d *DACCE) healTailFrame(t *machine.Thread) {
 	d.translateThreadLocked(t)
 	d.stats.TailHeals++
 	d.mu.Unlock()
-}
-
-// healTailFrameLocked is healTailFrame for callers already holding d.mu
-// (the serialized trap path).
-func (d *DACCE) healTailFrameLocked(t *machine.Thread) {
-	if !d.tailFrameStale(t) {
-		return
-	}
-	d.translateThreadLocked(t)
-	d.stats.TailHeals++
 }
 
 // tailFrameStale reports whether the thread's nearest non-tail active

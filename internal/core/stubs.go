@@ -246,7 +246,7 @@ const discoveryBatch = 32
 // trigger a re-encoding, then execute this invocation as an unencoded
 // call (Figs. 2b, 3b: push, id = maxID+1).
 //
-// The sharded path never takes d.mu on its own behalf: edge existence
+// The handler never takes d.mu on its own behalf: edge existence
 // lives in the site's graph shard, the stub rebuild serializes per
 // site-shard, and the new edge is published through the thread's buffer
 // (batch-registered under one d.mu acquisition per discoveryBatch
@@ -257,9 +257,6 @@ const discoveryBatch = 32
 // read below sees one stable epoch unless this trap runs a pass itself,
 // in which case it re-reads afterwards.
 func (d *DACCE) trapApply(t *machine.Thread, s *prog.Site, target prog.FuncID) (machine.Cookie, machine.Stub) {
-	if d.opt.SerializedDiscovery {
-		return d.trapApplySerialized(t, s, target)
-	}
 	start := time.Now()
 	t.C.HandlerTraps++
 	t.C.InstrCost += machine.CostHandlerTrap
@@ -312,75 +309,6 @@ func (d *DACCE) trapApply(t *machine.Thread, s *prog.Site, target prog.FuncID) (
 	save := snap.tail[target] && !s.Kind.IsTail()
 	ck := d.applyAction(t, st, s.ID, target,
 		edgeAction{target: target, kind: actUnencoded, save: save})
-	d.trapHist.Observe(time.Since(start).Nanoseconds())
-	return ck, d.epi
-}
-
-// trapApplySerialized is the pre-sharding handler, kept verbatim as the
-// Options.SerializedDiscovery baseline: every trap funnels through
-// d.mu, and every trigger firing marches into the stop-the-world pass
-// itself (the convoy the sharded path's gate coalesces).
-func (d *DACCE) trapApplySerialized(t *machine.Thread, s *prog.Site, target prog.FuncID) (machine.Cookie, machine.Stub) {
-	start := time.Now()
-	t.C.HandlerTraps++
-	t.C.InstrCost += machine.CostHandlerTrap
-
-	tailFix := prog.NoFunc
-	d.mu.Lock()
-	epoch := d.cur().epoch
-	e, isNew := d.g.AddEdge(s.ID, target)
-	atomic.AddInt64(&e.Freq, 1)
-	edgesDiscovered := d.edgesDiscovered.Load()
-	if snap := d.cur(); s.Kind.IsTail() && !snap.tail[s.Caller] {
-		d.snap.Store(snap.withTailLocked(s.Caller))
-		tailFix = s.Caller
-	}
-	if isNew {
-		d.newEdges.Add(1)
-		d.edgeCount.Add(1)
-		d.pendingNew = append(d.pendingNew, e)
-		edgesDiscovered = d.edgesDiscovered.Add(1)
-		d.rebuildSite(s.ID)
-	}
-
-	if tailFix == prog.NoFunc && !d.triggersFired() {
-		// Steady state: apply the unencoded call under the same
-		// acquisition; the next invocation goes through the patched stub.
-		if s.Kind.IsTail() {
-			d.healTailFrameLocked(t)
-		}
-		snap := d.cur()
-		st := t.State.(*tls)
-		save := snap.tail[target] && !s.Kind.IsTail()
-		ck := d.applyAction(t, st, s.ID, target,
-			edgeAction{target: target, kind: actUnencoded, save: save})
-		d.mu.Unlock()
-		d.trapHist.Observe(time.Since(start).Nanoseconds())
-		d.emitTrap(t, s, target, isNew, edgesDiscovered, epoch, start)
-		return ck, d.epi
-	}
-	d.mu.Unlock()
-	d.emitTrap(t, s, target, isNew, edgesDiscovered, epoch, start)
-
-	if tailFix != prog.NoFunc {
-		d.tailFixup(t, tailFix)
-	}
-	if d.triggersFired() {
-		d.reencode(t)
-	}
-
-	// Execute this invocation as an unencoded call against the state the
-	// pass above published.
-	d.mu.Lock()
-	if s.Kind.IsTail() {
-		d.healTailFrameLocked(t)
-	}
-	snap := d.cur()
-	st := t.State.(*tls)
-	save := snap.tail[target] && !s.Kind.IsTail()
-	ck := d.applyAction(t, st, s.ID, target,
-		edgeAction{target: target, kind: actUnencoded, save: save})
-	d.mu.Unlock()
 	d.trapHist.Observe(time.Since(start).Nanoseconds())
 	return ck, d.epi
 }

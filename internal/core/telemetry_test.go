@@ -103,7 +103,7 @@ func TestTelemetryPushPopEvents(t *testing.T) {
 	var d *DACCE
 	root := []progtest.Call{
 		progtest.By(fx.S("AC"), progtest.By(fx.S("CD"))),
-		{Site: fx.S("AC"), Target: prog.NoFunc, Hook: func(x prog.Exec) { d.ForceReencode(x) }},
+		{Site: fx.S("AC"), Target: prog.NoFunc, Hook: func(x prog.Exec) { d.ReencodeNow(x, false) }},
 		// New edge AD: pushes <id, AD, D> while unencoded.
 		progtest.By(fx.S("AD")),
 		progtest.By(fx.S("AD")),

@@ -14,7 +14,10 @@ import (
 // under the old epoch and the next one under the new epoch, which
 // plants query points immediately on both sides of every epoch
 // boundary — the exact transition the per-epoch dictionaries of paper
-// §4.1 must keep decodable. everySamples <= 0 returns d unchanged.
+// §4.1 must keep decodable. The forced pass is incremental when the
+// encoder's Options.Incremental is on and full otherwise, so a forced
+// pass never masks the incremental regime a spec is testing.
+// everySamples <= 0 returns d unchanged.
 func ForceEpochs(d *core.DACCE, everySamples int64) machine.Scheme {
 	if everySamples <= 0 {
 		return d
@@ -49,7 +52,7 @@ func (f *epochForcer) OnModuleUnload(t *machine.Thread, id prog.ModuleID) { f.d.
 func (f *epochForcer) OnSample(t *machine.Thread, capture any) {
 	f.d.OnSample(t, capture)
 	if f.n.Add(1)%f.every == 0 {
-		f.d.ForceReencode(t)
+		f.d.ReencodeNow(t, true)
 	}
 }
 

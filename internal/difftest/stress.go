@@ -12,7 +12,7 @@ import (
 
 // liveGate delegates the full scheme surface to the DACCE encoder and
 // closes started on the first sample, the signal that the machine is
-// fully live and external ForceReencode calls are safe.
+// fully live and external ReencodeNow calls are safe.
 type liveGate struct {
 	d       *core.DACCE
 	started chan struct{}
@@ -42,7 +42,7 @@ type StressReport struct {
 	// Epochs counts re-encoding passes: the adaptive triggers plus every
 	// forced pass that actually ran.
 	Epochs uint32 `json:"epochs"`
-	// ForcedPasses is how many ForceReencode calls the external forcer
+	// ForcedPasses is how many ReencodeNow calls the external forcer
 	// goroutines issued.
 	ForcedPasses int64        `json:"forced_passes"`
 	Divergences  []Divergence `json:"divergences,omitempty"`
@@ -56,9 +56,10 @@ func (r *StressReport) Diverged() bool {
 
 // Stress runs the spec's workload live — real goroutines, not a replay
 // — under an aggressive DACCE encoder while dedicated forcer goroutines
-// hammer ForceReencode from outside any workload thread, so stop-the-
-// world re-encoding passes interleave with calls, captures and epoch
-// translation on every thread. It is meant to run under the race
+// hammer full ReencodeNow passes from outside any workload thread, so
+// off-pause preparation and stop-the-world commits interleave with
+// calls, captures, adaptive passes and epoch translation on every
+// thread. It is meant to run under the race
 // detector; after the run every retained sample is checked for
 // per-thread (id, ccStack) consistency:
 //
@@ -118,7 +119,7 @@ func Stress(spec Spec, forcers int) (*StressReport, error) {
 				if stop {
 					return
 				}
-				d.ForceReencode(nil)
+				d.ReencodeNow(nil, false)
 				time.Sleep(200 * time.Microsecond)
 			}
 		}()

@@ -81,7 +81,7 @@ func TestStressLockFreeReaders(t *testing.T) {
 				return
 			default:
 			}
-			d.ForceReencode(nil)
+			d.ReencodeNow(nil, false)
 			time.Sleep(500 * time.Microsecond)
 		}
 	}()

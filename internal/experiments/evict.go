@@ -186,7 +186,7 @@ func evictEncoderPlane(cfg EvictConfig, rep *EvictReport) error {
 		case r > quarter && n > rep.EncoderDAGNodesLate:
 			rep.EncoderDAGNodesLate = n
 		}
-		d.ForceReencode(nil)
+		d.ReencodeNow(nil, false)
 	}
 	rep.EncoderRounds = cfg.Rounds
 	rep.EncoderDAGNodesFinal = d.DAG().Len()

@@ -5,17 +5,12 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"dacce/internal/blenc"
 	"dacce/internal/ccprof"
 	"dacce/internal/core"
-	"dacce/internal/graph"
 	"dacce/internal/machine"
 	"dacce/internal/persist"
-	"dacce/internal/prog"
 	"dacce/internal/workload"
 )
 
@@ -33,12 +28,6 @@ type SteadyConfig struct {
 	// deliberately aggressive, so the sampling controller's decode is a
 	// real part of the steady-state load the lock-free paths must carry).
 	SampleEvery int64
-	// Compare additionally runs every configuration under a
-	// mutex-serialized wrapper reproducing the pre-snapshot locking
-	// discipline (global lock around the sampling controller and the
-	// periodic maintenance check, per-sample capture allocation), and
-	// reports the lock-free/serialized throughput ratio.
-	Compare bool
 	// LoadState warm-starts the lock-free encoder from this snapshot
 	// instead of a cold start, so even the "warmup" phase runs on the
 	// persisted encoding (expect zero handler traps). SaveState writes
@@ -67,12 +56,9 @@ func (c *SteadyConfig) fill() {
 	}
 }
 
-// SteadyRow is one measured (thread count, mode, phase) configuration.
+// SteadyRow is one measured (thread count, phase) configuration.
 type SteadyRow struct {
 	Threads int `json:"threads"`
-	// Mode is "lockfree" (the build under test) or "serialized" (the
-	// global-mutex comparison wrapper).
-	Mode string `json:"mode"`
 	// Phase is "warmup" (fresh encoder: discovery + re-encoding) or
 	// "steady" (warmed encoder, stable encoding).
 	Phase         string  `json:"phase"`
@@ -95,9 +81,6 @@ type SteadyReport struct {
 	// Scaling maps a thread count to steady-state lock-free throughput
 	// relative to 1 thread.
 	Scaling map[string]float64 `json:"scaling,omitempty"`
-	// Speedup maps a thread count to the steady-state lock-free vs
-	// serialized throughput ratio (present when Compare is set).
-	Speedup map[string]float64 `json:"speedup,omitempty"`
 	// CcprofContexts counts the sampled contexts the streaming profiler
 	// aggregated into CcprofOut (present when CcprofOut is set).
 	CcprofContexts int64 `json:"ccprof_contexts,omitempty"`
@@ -126,114 +109,6 @@ func steadyProfile(n int, callsPerThread int64) workload.Profile {
 	}
 }
 
-// serializedScheme reproduces the pre-snapshot build for the comparison
-// rows: one global mutex serializes every sampling-controller entry and
-// every periodic maintenance check across all threads, and captures are
-// never released to the pool, so each sample allocates its snapshot —
-// the locking and allocation discipline the lock-free rework replaced.
-//
-// During warm-up the wrapper simply locks around the encoder's own
-// controller, so adaptation (discovery, re-encoding) behaves
-// identically in both modes. For the steady run, freeze() additionally
-// installs the old sampling path itself: a per-sample Decoder walking
-// graph in-edge lists with dictionary map lookups and fresh slices —
-// the exact decode the controller used to run while holding the global
-// lock.
-type serializedScheme struct {
-	d   *core.DACCE
-	mu  sync.Mutex
-	old *oldSampler
-}
-
-func (s *serializedScheme) Name() string                          { return s.d.Name() }
-func (s *serializedScheme) Install(m *machine.Machine)            { s.d.Install(m) }
-func (s *serializedScheme) ThreadStart(t, parent *machine.Thread) { s.d.ThreadStart(t, parent) }
-func (s *serializedScheme) ThreadExit(t *machine.Thread)          { s.d.ThreadExit(t) }
-func (s *serializedScheme) Capture(t *machine.Thread) any         { return s.d.Capture(t) }
-
-// OnSample serializes controller entry on the global mutex. The mutex
-// is always dropped before delegating anything that can stop the world
-// (Maintain, or the encoder's own controller): a stopper waits for
-// every running thread to park at a safepoint, and a thread blocked on
-// s.mu is running but can never park, so holding the lock across a
-// re-encoding pass would deadlock the machine.
-func (s *serializedScheme) OnSample(t *machine.Thread, capture any) {
-	if s.old != nil {
-		s.mu.Lock()
-		s.old.onSample(capture)
-		s.mu.Unlock()
-		s.d.Maintain(t)
-		return
-	}
-	s.mu.Lock()
-	s.mu.Unlock() //lint:ignore SA2001 empty section models the old per-sample lock acquisition
-	s.d.OnSample(t, capture)
-}
-
-// Maintain pays the old per-tick global-lock acquisition, then runs the
-// trigger check unlocked (see OnSample for why the lock cannot be held
-// across a possible stop-the-world).
-func (s *serializedScheme) Maintain(t *machine.Thread) {
-	s.mu.Lock()
-	s.mu.Unlock() //lint:ignore SA2001 empty section models the old per-tick lock acquisition
-	s.d.Maintain(t)
-}
-
-// oldSampler is the pre-snapshot sampling controller, rebuilt from the
-// exported decode API: a graph-walking Decoder constructed per sample,
-// decoding with fresh slice copies, then crediting edge heat. It works
-// on a frozen clone of the call graph taken at a quiescent point (the
-// clone's in-edge lists have the same layout and lookup pattern the
-// live graph walk had, and freezing keeps the comparison run race-free
-// against the rare late edge discovery).
-type oldSampler struct {
-	p     *prog.Program
-	g     *graph.Graph
-	dicts []*blenc.Assignment
-	edges map[graph.EdgeKey]*graph.Edge // live edges, for atomic Freq credit
-}
-
-// freeze snaps the old-path decode state between the warm-up and steady
-// runs. Must be called while no machine is running.
-func (s *serializedScheme) freeze(p *prog.Program) {
-	live := s.d.Graph()
-	clone := graph.New(p)
-	edges := make(map[graph.EdgeKey]*graph.Edge, len(live.Edges))
-	for _, r := range live.Roots() {
-		clone.AddRoot(r)
-	}
-	for _, e := range live.Edges {
-		clone.AddEdge(e.Site, e.Target)
-		edges[graph.EdgeKey{Site: e.Site, Target: e.Target}] = e
-	}
-	var dicts []*blenc.Assignment
-	for ep := uint32(0); ; ep++ {
-		dict := s.d.Dict(ep)
-		if dict == nil {
-			break
-		}
-		dicts = append(dicts, dict)
-	}
-	s.old = &oldSampler{p: p, g: clone, dicts: dicts, edges: edges}
-}
-
-func (o *oldSampler) onSample(capture any) {
-	c, ok := capture.(*core.Capture)
-	if !ok || c == nil || int(c.Epoch) >= len(o.dicts) {
-		return
-	}
-	dec := &core.Decoder{P: o.p, G: o.g, Dicts: o.dicts}
-	ctx, err := dec.Decode(c)
-	if err != nil {
-		return
-	}
-	for i := 1; i < len(ctx); i++ {
-		if e := o.edges[graph.EdgeKey{Site: ctx[i].Site, Target: ctx[i].Fn}]; e != nil {
-			atomic.AddInt64(&e.Freq, 1)
-		}
-	}
-}
-
 // SteadyState runs the scalability suite and returns the report.
 func SteadyState(cfg SteadyConfig) (*SteadyReport, error) {
 	cfg.fill()
@@ -249,9 +124,6 @@ func SteadyState(cfg SteadyConfig) (*SteadyReport, error) {
 		NumCPU:     runtime.NumCPU(),
 		Scaling:    map[string]float64{},
 	}
-	if cfg.Compare {
-		rep.Speedup = map[string]float64{}
-	}
 
 	steadyRate := map[int]float64{}
 	for _, n := range cfg.Threads {
@@ -261,8 +133,8 @@ func SteadyState(cfg SteadyConfig) (*SteadyReport, error) {
 			return nil, err
 		}
 
-		run := func(mode string, d *core.DACCE, scheme machine.Scheme, phase string) (*SteadyRow, error) {
-			m := w.NewMachine(scheme, machine.Config{
+		run := func(d *core.DACCE, phase string) (*SteadyRow, error) {
+			m := w.NewMachine(d, machine.Config{
 				SampleEvery: cfg.SampleEvery,
 				DropSamples: true,
 			})
@@ -277,7 +149,6 @@ func SteadyState(cfg SteadyConfig) (*SteadyReport, error) {
 			}
 			row := SteadyRow{
 				Threads:       n,
-				Mode:          mode,
 				Phase:         phase,
 				Calls:         rs.C.Calls,
 				ElapsedMs:     float64(elapsed.Microseconds()) / 1e3,
@@ -312,10 +183,10 @@ func SteadyState(cfg SteadyConfig) (*SteadyReport, error) {
 		} else {
 			d = core.New(w.P, opt)
 		}
-		if _, err := run("lockfree", d, d, "warmup"); err != nil {
+		if _, err := run(d, "warmup"); err != nil {
 			return nil, err
 		}
-		steady, err := run("lockfree", d, d, "steady")
+		steady, err := run(d, "steady")
 		if err != nil {
 			return nil, err
 		}
@@ -330,22 +201,6 @@ func SteadyState(cfg SteadyConfig) (*SteadyReport, error) {
 				return nil, err
 			}
 			rep.CcprofContexts = sprof.Total()
-		}
-
-		if cfg.Compare {
-			ds := core.New(w.P, core.Options{})
-			ws := &serializedScheme{d: ds}
-			if _, err := run("serialized", ds, ws, "warmup"); err != nil {
-				return nil, err
-			}
-			ws.freeze(w.P)
-			ser, err := run("serialized", ds, ws, "steady")
-			if err != nil {
-				return nil, err
-			}
-			if ser.CallsPerSec > 0 {
-				rep.Speedup[fmt.Sprint(n)] = steady.CallsPerSec / ser.CallsPerSec
-			}
 		}
 	}
 	if base := steadyRate[cfg.Threads[0]]; base > 0 {

@@ -2,10 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
-	"dacce/internal/blenc"
 	"dacce/internal/core"
 	"dacce/internal/graph"
 	"dacce/internal/machine"
@@ -14,106 +15,138 @@ import (
 	"dacce/internal/workload"
 )
 
-// coldRun executes the profile's workload on a fresh encoder in the
-// given discovery mode and returns the warmed encoder and run stats.
-func coldRun(t *testing.T, pr workload.Profile, serialized bool) (*core.DACCE, *workload.Workload, *machine.RunStats) {
+// coldRun executes the profile's workload on a fresh encoder and
+// returns the warmed encoder and run stats.
+func coldRun(t *testing.T, pr workload.Profile) (*core.DACCE, *machine.RunStats) {
 	t.Helper()
 	w, err := workload.Build(pr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := core.New(w.P, core.Options{SerializedDiscovery: serialized})
+	d := core.New(w.P, core.Options{})
 	m := w.NewMachine(d, machine.Config{SampleEvery: 31})
 	rs, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, w, rs
+	return d, rs
 }
 
-// edgeSet returns the graph's registered edge keys, sorted.
-func edgeSet(g *graph.Graph) []graph.EdgeKey {
-	keys := make([]graph.EdgeKey, 0, len(g.Edges))
-	for _, e := range g.Edges {
-		keys = append(keys, graph.EdgeKey{Site: e.Site, Target: e.Target})
+// recordingScheme is the cold-start reference: a plain stub on every
+// site that records each (site, target) pair it dispatches, plus the
+// entry function of every spawned thread. It encodes nothing, so its
+// edge and root sets are exactly what the workload executed.
+type recordingScheme struct {
+	mu    sync.Mutex
+	edges map[graph.EdgeKey]bool
+	roots map[prog.FuncID]bool
+}
+
+func (r *recordingScheme) Name() string { return "recording" }
+
+func (r *recordingScheme) Install(m *machine.Machine) {
+	for i := 0; i < m.Program().NumSites(); i++ {
+		m.SetStub(prog.SiteID(i), r)
 	}
+}
+
+func (r *recordingScheme) ThreadStart(t, parent *machine.Thread) {
+	if parent != nil {
+		r.mu.Lock()
+		r.roots[t.Entry()] = true
+		r.mu.Unlock()
+	}
+}
+
+func (r *recordingScheme) ThreadExit(t *machine.Thread) {}
+
+func (r *recordingScheme) Capture(t *machine.Thread) any { return nil }
+
+func (r *recordingScheme) Prologue(t *machine.Thread, s *prog.Site, target prog.FuncID) (machine.Cookie, machine.Stub) {
+	r.mu.Lock()
+	r.edges[graph.EdgeKey{Site: s.ID, Target: target}] = true
+	r.mu.Unlock()
+	return machine.Cookie{}, r
+}
+
+func (r *recordingScheme) Epilogue(t *machine.Thread, s *prog.Site, target prog.FuncID, c machine.Cookie) {
+}
+
+// referenceRun executes the profile's workload under recordingScheme
+// with the same machine configuration as coldRun and returns the
+// executed edge keys and the root set (program entry plus spawned
+// thread entries), both sorted.
+func referenceRun(t *testing.T, pr workload.Profile) ([]graph.EdgeKey, []prog.FuncID) {
+	t.Helper()
+	w, err := workload.Build(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &recordingScheme{
+		edges: map[graph.EdgeKey]bool{},
+		roots: map[prog.FuncID]bool{w.P.Entry: true},
+	}
+	if _, err := w.NewMachine(r, machine.Config{SampleEvery: 31}).Run(); err != nil {
+		t.Fatal(err)
+	}
+	edges := make([]graph.EdgeKey, 0, len(r.edges))
+	for k := range r.edges {
+		edges = append(edges, k)
+	}
+	roots := make([]prog.FuncID, 0, len(r.roots))
+	for fn := range r.roots {
+		roots = append(roots, fn)
+	}
+	sortEdgeKeys(edges)
+	slices.Sort(roots)
+	return edges, roots
+}
+
+// sortEdgeKeys orders edge keys by (site, target).
+func sortEdgeKeys(keys []graph.EdgeKey) {
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].Site != keys[j].Site {
 			return keys[i].Site < keys[j].Site
 		}
 		return keys[i].Target < keys[j].Target
 	})
-	return keys
-}
-
-// canonicalDict re-encodes the graph's edge set from a canonical
-// rebuild: edges inserted in sorted (site, target) order with no
-// frequency heat and no hot-first ordering. Two graphs with the same
-// edge set always canonicalize to the identical assignment, whatever
-// order concurrent discovery registered their edges in.
-func canonicalDict(g *graph.Graph, p *prog.Program) *blenc.Assignment {
-	clone := graph.New(p)
-	for _, r := range g.Roots() {
-		clone.AddRoot(r)
-	}
-	for _, k := range edgeSet(g) {
-		clone.AddEdge(k.Site, k.Target)
-	}
-	return blenc.Encode(clone, blenc.Options{NoHotOrder: true})
 }
 
 // diffColdStart runs the profile cold under the sharded trap path and
-// under the serialized baseline and returns a description of the first
-// mismatch between the two outcomes, or "" when they agree.
+// under recordingScheme, and returns a description of the first
+// mismatch between the encoder's discovered graph and the executed
+// reference, or "" when they agree. The encoder's canonical
+// dictionaries are a function of its edge and root sets alone, so
+// matching both sets exactly is the whole check.
 func diffColdStart(t *testing.T, pr workload.Profile) string {
 	t.Helper()
-	ds, ws, _ := coldRun(t, pr, false)
-	dg, wg, _ := coldRun(t, pr, true)
+	d, _ := coldRun(t, pr)
+	refEdges, refRoots := referenceRun(t, pr)
 
-	gs, gg := ds.Graph(), dg.Graph()
-	es, eg := edgeSet(gs), edgeSet(gg)
-	if len(es) != len(eg) {
-		return fmt.Sprintf("edge sets differ: sharded %d edges, serialized %d", len(es), len(eg))
+	g := d.Graph()
+	edges := make([]graph.EdgeKey, 0, len(g.Edges))
+	for _, e := range g.Edges {
+		edges = append(edges, graph.EdgeKey{Site: e.Site, Target: e.Target})
 	}
-	for i := range es {
-		if es[i] != eg[i] {
-			return fmt.Sprintf("edge sets differ at %d: sharded %v, serialized %v", i, es[i], eg[i])
-		}
+	sortEdgeKeys(edges)
+	if !slices.Equal(edges, refEdges) {
+		return fmt.Sprintf("edge sets differ: sharded %d edges, reference %d", len(edges), len(refEdges))
 	}
-	if ss, sg := ds.Stats(), dg.Stats(); ss.EdgesDiscovered != len(es) || sg.EdgesDiscovered != len(eg) {
-		return fmt.Sprintf("discovered-edge counters off: sharded %d, serialized %d, want %d",
-			ss.EdgesDiscovered, sg.EdgesDiscovered, len(es))
+	roots := slices.Clone(g.Roots())
+	slices.Sort(roots)
+	if !slices.Equal(roots, refRoots) {
+		return fmt.Sprintf("root sets differ: sharded %v, reference %v", roots, refRoots)
 	}
-
-	// The live dictionaries may encode in different hot orders (the
-	// runs pass at different times, so per-edge heat differs at
-	// snapshot), but the context-count structure they assign is a
-	// function of the graph alone.
-	as, ag := canonicalDict(gs, ws.P), canonicalDict(gg, wg.P)
-	if as.MaxID != ag.MaxID {
-		return fmt.Sprintf("canonical MaxID differs: sharded %d, serialized %d", as.MaxID, ag.MaxID)
-	}
-	if len(as.NumCC) != len(ag.NumCC) {
-		return fmt.Sprintf("canonical NumCC sizes differ: sharded %d, serialized %d", len(as.NumCC), len(ag.NumCC))
-	}
-	for fn, n := range as.NumCC {
-		if ag.NumCC[fn] != n {
-			return fmt.Sprintf("canonical NumCC[f%d] differs: sharded %d, serialized %d", fn, n, ag.NumCC[fn])
-		}
-	}
-	for k, c := range as.Codes {
-		if ag.Codes[k] != c {
-			return fmt.Sprintf("canonical code for %v differs: sharded %v, serialized %v", k, c, ag.Codes[k])
-		}
+	if n := d.Stats().EdgesDiscovered; n != len(refEdges) {
+		return fmt.Sprintf("discovered-edge counter %d, want %d", n, len(refEdges))
 	}
 	return ""
 }
 
-// TestConcurrentColdStart is the tentpole's correctness gate: four
+// TestConcurrentColdStart is the cold-start correctness gate: four
 // goroutine threads trap the same cold graph through the sharded
-// discovery path (run under -race in CI), and the final graph and
-// canonical dictionary must match the serialized baseline run bit for
-// bit. The sharded run's samples must decode against the machine's
+// discovery path (run under -race in CI), and the final edge and root
+// sets must match what the recording reference saw executed. The sharded run's samples must decode against the machine's
 // shadow stacks, and a warm start from its snapshot must replay the
 // identical workload with zero handler traps.
 func TestConcurrentColdStart(t *testing.T) {
@@ -123,7 +156,7 @@ func TestConcurrentColdStart(t *testing.T) {
 		t.Fatal(d)
 	}
 
-	d, _, rs := coldRun(t, pr, false)
+	d, rs := coldRun(t, pr)
 	if rs.C.HandlerTraps == 0 {
 		t.Fatal("cold run executed no handler traps; the test exercised nothing")
 	}
@@ -199,8 +232,9 @@ func sweepProfile(seed uint64) workload.Profile {
 
 // TestColdStartSeedSweep is the differential sweep from the acceptance
 // gate: a thousand seeded workload shapes, each discovered cold by
-// concurrent sharded threads and by the serialized baseline, must agree
-// on the final graph and canonical dictionary with zero divergences.
+// concurrent sharded threads, must agree with the recording reference
+// on the final edge set, root set and discovered-edge count, with zero
+// divergences.
 // -short runs a spot-check slice.
 func TestColdStartSeedSweep(t *testing.T) {
 	seeds := 1000

@@ -237,7 +237,7 @@ func TestPCCEVsDACCEEncodingSpace(t *testing.T) {
 	run(ps)
 	d := core.New(p, core.Options{})
 	run(d)
-	d.ForceReencode(nil)
+	d.ReencodeNow(nil, false)
 
 	if d.Graph().NumEdges() >= ps.Graph().NumEdges() {
 		t.Errorf("dynamic edges %d not smaller than static %d", d.Graph().NumEdges(), ps.Graph().NumEdges())

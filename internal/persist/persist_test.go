@@ -51,9 +51,9 @@ func warmEncoder(t *testing.T, pr workload.Profile) (*core.DACCE, *workload.Work
 	// passes, so a multi-threaded warmup can legitimately converge in a
 	// single epoch; the tests need a multi-epoch archive, so force one
 	// more pass in that case (what a checkpointing process calling
-	// ForceReencode before -save-state would produce).
+	// ReencodeNow before -save-state would produce).
 	if d.Epoch() < 2 {
-		d.ForceReencode(nil)
+		d.ReencodeNow(nil, false)
 	}
 	if d.Epoch() < 2 {
 		t.Fatalf("warmup reached only epoch %d; the tests need a multi-epoch archive", d.Epoch())

@@ -39,11 +39,10 @@ const (
 	EvEdgeDiscovered
 	// EvReencodeStart: a re-encoding pass is starting. Reason carries
 	// the trigger; Epoch is the epoch being left; Value is the graph's
-	// edge count. On the classic serialized path the world is already
-	// stopped at this point; on the concurrent-prepare path it is still
-	// running and only stops after EvReencodePrepared.
+	// edge count. The world is still running at this point and only
+	// stops after EvReencodePrepared.
 	EvReencodeStart
-	// EvReencodePrepared: a concurrent pass finished computing the new
+	// EvReencodePrepared: a pass finished computing the new
 	// assignment and decode index off-pause and is about to stop the
 	// world. Epoch is the epoch being left; Value is the number of
 	// changed edges, Aux the number of renumbered edges; DurNanos the
@@ -151,7 +150,7 @@ const (
 	ReasonHotPath
 	// ReasonCCOps is trigger (c): the ccStack is accessed too often.
 	ReasonCCOps
-	// ReasonForced: an explicit ForceReencode call.
+	// ReasonForced: an explicit ReencodeNow call.
 	ReasonForced
 
 	// NumReasons is the number of reason values.

@@ -70,7 +70,7 @@ func newSteadyFixtureOpts(tb testing.TB, opts func(*prog.Program) core.Options) 
 	// Discover the leaf edge, then re-encode so the site is patched with
 	// the zero-cost encoded stub — the steady state under test.
 	f.th.Call(siteLeaf, dacce.NoFunc)
-	f.d.ForceReencode(f.th)
+	f.d.ReencodeNow(f.th, false)
 	f.site = siteLeaf
 	if got := f.d.Epoch(); got == 0 {
 		tb.Fatal("fixture: forced re-encoding did not advance the epoch")
