@@ -28,7 +28,7 @@ func TestFig1Numbering(t *testing.T) {
 	// instrumentation, as in the paper's figure.
 	g.Edge(fx.S("BD"), fx.F("D")).Freq = 10
 	g.Edge(fx.S("CD"), fx.F("D")).Freq = 1
-	a := Encode(g, Options{})
+	a := Encode(g, nil, Options{})
 	wantNumCC := map[string]uint64{"A": 1, "B": 1, "C": 1, "D": 2, "E": 2, "F": 2}
 	for name, want := range wantNumCC {
 		if got := a.NumCC[fx.F(name)]; got != want {
@@ -68,7 +68,7 @@ func TestHotFirstOrdering(t *testing.T) {
 	// Flip the heat: CD hotter than BD — CD must now get code 0.
 	g.Edge(fx.S("BD"), fx.F("D")).Freq = 1
 	g.Edge(fx.S("CD"), fx.F("D")).Freq = 10
-	a := Encode(g, Options{})
+	a := Encode(g, nil, Options{})
 	c, _ := a.CodeOf(g.Edge(fx.S("CD"), fx.F("D")))
 	if c.Value != 0 {
 		t.Errorf("hottest edge CD got code %d, want 0", c.Value)
@@ -86,7 +86,7 @@ func TestBackEdgesNeverEncoded(t *testing.T) {
 	for _, s := range []string{"AC", "CD", "AD", "DA"} {
 		g.AddEdge(fx.S(s), p.Site(fx.S(s)).Target)
 	}
-	a := Encode(g, Options{})
+	a := Encode(g, nil, Options{})
 	c, ok := a.CodeOf(g.Edge(fx.S("DA"), fx.F("A")))
 	if !ok {
 		t.Fatal("back edge missing from snapshot")
@@ -139,7 +139,7 @@ func diamondChain(t *testing.T, k int) *graph.Graph {
 
 func TestExponentialNumCC(t *testing.T) {
 	g := diamondChain(t, 10)
-	a := Encode(g, Options{})
+	a := Encode(g, nil, Options{})
 	if a.MaxID != (1<<10)-1 {
 		t.Errorf("MaxID = %d, want %d", a.MaxID, (1<<10)-1)
 	}
@@ -147,7 +147,7 @@ func TestExponentialNumCC(t *testing.T) {
 
 func TestOverflowBudgeting(t *testing.T) {
 	g := diamondChain(t, 70) // 2^70 paths: saturates uint64
-	a := Encode(g, Options{})
+	a := Encode(g, nil, Options{})
 	if !a.Overflowed {
 		t.Fatal("2^70-path graph did not report overflow")
 	}
@@ -167,7 +167,7 @@ func TestOverflowBudgeting(t *testing.T) {
 
 func TestSmallBudget(t *testing.T) {
 	g := diamondChain(t, 10)
-	a := Encode(g, Options{Budget: 100})
+	a := Encode(g, nil, Options{Budget: 100})
 	if !a.Overflowed {
 		t.Fatal("encoding above budget not reported as overflow")
 	}
@@ -190,7 +190,7 @@ func TestNeverInvokedEdgesDroppedFirst(t *testing.T) {
 			e.Freq = 100
 		}
 	}
-	a := Encode(g, Options{Budget: 40})
+	a := Encode(g, nil, Options{Budget: 40})
 	if !a.Overflowed {
 		t.Fatal("expected overflow against budget 40")
 	}
@@ -208,7 +208,7 @@ func TestCodesPartitionRange(t *testing.T) {
 	// exactly (unless the node is a sub-path head with extra slack).
 	fx, g := fig1Graph(t)
 	_ = fx
-	a := Encode(g, Options{})
+	a := Encode(g, nil, Options{})
 	for _, n := range g.NodeSeq {
 		covered := uint64(0)
 		for _, e := range n.In {
@@ -230,7 +230,7 @@ func TestCodesPartitionRange(t *testing.T) {
 func TestEncodeDeterministic(t *testing.T) {
 	enc := func() *Assignment {
 		_, g := fig1Graph(t)
-		return Encode(g, Options{})
+		return Encode(g, nil, Options{})
 	}
 	a, b := enc(), enc()
 	if a.MaxID != b.MaxID || a.EncodedEdges != b.EncodedEdges {
@@ -249,7 +249,7 @@ func TestNoHotOrderKeepsInsertionOrder(t *testing.T) {
 	// (BD) keeps code 0.
 	g.Edge(fx.S("BD"), fx.F("D")).Freq = 1
 	g.Edge(fx.S("CD"), fx.F("D")).Freq = 100
-	a := Encode(g, Options{NoHotOrder: true})
+	a := Encode(g, nil, Options{NoHotOrder: true})
 	c, _ := a.CodeOf(g.Edge(fx.S("BD"), fx.F("D")))
 	if c.Value != 0 {
 		t.Errorf("first in-edge BD got code %d, want 0 under NoHotOrder", c.Value)

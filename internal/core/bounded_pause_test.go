@@ -1,8 +1,12 @@
 package core
 
 import (
+	"fmt"
+	"maps"
+	"math/rand/v2"
 	"reflect"
 	"testing"
+	"time"
 
 	"dacce/internal/machine"
 	"dacce/internal/prog"
@@ -42,11 +46,11 @@ func twoLevelProgram(tb testing.TB, callers, leavesPerCaller, reserved int) (*pr
 // indexes entry for entry.
 func diffIndexes(tb testing.TB, epoch uint32, got, want *decodeIndex) {
 	tb.Helper()
-	if len(got.in) != len(want.in) {
-		tb.Errorf("epoch %d: delta index has %d functions with in-edges, full rebuild has %d", epoch, len(got.in), len(want.in))
+	if got.in.Len() != want.in.Len() {
+		tb.Errorf("epoch %d: delta index has %d functions with in-edges, full rebuild has %d", epoch, got.in.Len(), want.in.Len())
 	}
-	for fn, wlist := range want.in {
-		glist, ok := got.in[fn]
+	for fn, wlist := range want.in.All() {
+		glist, ok := got.in.Get(fn)
 		if !ok {
 			tb.Errorf("epoch %d: fn %d missing from delta index (want %d in-edges)", epoch, fn, len(wlist))
 			continue
@@ -55,6 +59,15 @@ func diffIndexes(tb testing.TB, epoch uint32, got, want *decodeIndex) {
 			tb.Errorf("epoch %d: fn %d in-edges differ:\n delta %+v\n full  %+v", epoch, fn, glist, wlist)
 		}
 	}
+}
+
+// siteEdges counts the edges of an index's site table.
+func siteEdges(ix *decodeIndex) int {
+	n := 0
+	for _, es := range ix.sites.All() {
+		n += len(es)
+	}
+	return n
 }
 
 // TestDeltaIndexAndStubSetAgainstFullRebuild is the controlled
@@ -88,11 +101,11 @@ func TestDeltaIndexAndStubSetAgainstFullRebuild(t *testing.T) {
 	}
 
 	// (a) The published delta-derived index equals a full rebuild.
-	full := newDecodeIndex(d.g, next.dicts[len(next.dicts)-1])
+	full, _ := newDecodeIndex(d.g, next.dicts[len(next.dicts)-1], nil)
 	got := next.idx[len(next.idx)-1]
 	diffIndexes(t, next.epoch, got, full)
-	if len(got.edges) != len(full.edges) {
-		t.Errorf("delta index tracks %d edges, full rebuild %d", len(got.edges), len(full.edges))
+	if siteEdges(got) != siteEdges(full) {
+		t.Errorf("delta index tracks %d edges, full rebuild %d", siteEdges(got), siteEdges(full))
 	}
 
 	// (b) Every edge whose action changed sits at a dirty site.
@@ -139,7 +152,8 @@ func TestDeltaIndexChainMatchesFullOnWorkload(t *testing.T) {
 		// Edges discovered after epoch e have no code in dicts[e], so a
 		// from-scratch rebuild over today's graph reconstructs exactly
 		// the in-edge lists the epoch froze.
-		diffIndexes(t, uint32(e), snap.idx[e], newDecodeIndex(d.g, snap.dicts[e]))
+		full, _ := newDecodeIndex(d.g, snap.dicts[e], nil)
+		diffIndexes(t, uint32(e), snap.idx[e], full)
 	}
 }
 
@@ -217,5 +231,111 @@ func TestSelectiveTranslationCounters(t *testing.T) {
 	}
 	if last.PauseNanos < 0 || last.PrepareNanos <= 0 {
 		t.Errorf("concurrent pass timing not recorded: pause %d prep %d", last.PauseNanos, last.PrepareNanos)
+	}
+}
+
+// TestExtendPlanCountsDistinctEdges: a straggler refresh that renumbers
+// an edge the prepare already renumbered must not count it twice, in
+// the plan's renumber volume or in the published EpochRecord.
+func TestExtendPlanCountsDistinctEdges(t *testing.T) {
+	b := prog.NewBuilder()
+	mainF, fa, fb, fx, leaf := b.Func("main"), b.Func("A"), b.Func("B"), b.Func("X"), b.Func("L")
+	base := []Discovery{
+		{Site: b.CallSite(mainF, fa), Fn: fa},
+		{Site: b.CallSite(mainF, fb), Fn: fb},
+		{Site: b.CallSite(mainF, fx), Fn: fx},
+		{Site: b.CallSite(fa, leaf), Fn: leaf},
+	}
+	fm := b.Func("M")
+	bl := Discovery{Site: b.CallSite(fb, leaf), Fn: leaf}
+	bm := Discovery{Site: b.CallSite(fb, fm), Fn: fm}
+	xa := Discovery{Site: b.CallSite(fx, fa), Fn: fa}
+	p := b.MustBuild()
+	d := New(p, Options{Incremental: true})
+	d.InjectDiscoveries(base)
+	d.ReencodeNow(nil, false)
+
+	// Prepare: B→L joins L's in-edges behind A→L, coded numCC(A) = 1;
+	// B→M reaches the new function M.
+	d.InjectDiscoveries([]Discovery{bl, bm})
+	d.mu.Lock()
+	plan := d.preparePlanLocked(passForceIncremental, d.trigSnapshot())
+	d.mu.Unlock()
+	if !plan.incremental || len(plan.changed) != 2 {
+		t.Fatalf("prepare: incremental=%v changed=%v, want two changed edges", plan.incremental, plan.changed)
+	}
+
+	// Straggler: X→A doubles numCC(A), so B→L is renumbered again.
+	d.InjectDiscoveries([]Discovery{xa})
+	d.mu.Lock()
+	plan = d.extendPlanLocked(plan, d.trigSnapshot())
+	if !plan.incremental {
+		d.mu.Unlock()
+		t.Fatal("straggler refresh fell back to a full pass")
+	}
+	if plan.renumberedEdges != 3 || len(plan.changed) != 3 {
+		t.Errorf("plan renumbered %d edges, changed %v; want B→L, B→M and X→A once each", plan.renumberedEdges, plan.changed)
+	}
+	now := time.Now()
+	d.commitPlanLocked(nil, plan, now, now)
+	d.mu.Unlock()
+
+	er := d.Stats().History[1]
+	if er.ChangedEdges != 3 || er.RenumberCost != 3*int64(machine.CostReencodePerEdge) {
+		t.Errorf("epoch record: %d changed edges, renumber cost %d; want 3 and %d", er.ChangedEdges, er.RenumberCost, 3*machine.CostReencodePerEdge)
+	}
+	asn := d.Dict(2)
+	if c, _ := asn.CodeOf(d.g.Edge(bl.Site, leaf)); !c.Encoded || c.Value != 2 {
+		t.Errorf("B→L coded %+v, want encoded 2", c)
+	}
+	// The epoch's stored delta spans the prepare and the straggler
+	// refresh: B→M and numCC(M) come from the prepare alone.
+	if _, ok := asn.NumCC[fm]; len(asn.Codes) != 3 || !ok {
+		t.Errorf("epoch delta holds codes %v and numCC %v, want B→L, B→M, X→A and M among them", asn.Codes, asn.NumCC)
+	}
+	full, _ := newDecodeIndex(d.g, asn, nil)
+	diffIndexes(t, 2, d.cur().idx[2], full)
+}
+
+// TestDerivedIndexMatchesScratch grows random cyclic graphs through
+// InjectDiscoveries and forces passes, most of them incremental, and
+// after every pass compares the published decode index — derived from
+// the previous epoch's through the dictionary's delta — with a
+// from-scratch build of the same dictionary, in-edge lists and site
+// table alike.
+func TestDerivedIndexMatchesScratch(t *testing.T) {
+	for seed := uint64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 3))
+		b := prog.NewBuilder()
+		fns := []prog.FuncID{b.Func("main")}
+		for i := 1; i < 30; i++ {
+			fns = append(fns, b.Func(fmt.Sprintf("f%d", i)))
+		}
+		var found []Discovery
+		for i := 0; i < 120; i++ {
+			from, to := rng.IntN(len(fns)), 1+rng.IntN(len(fns)-1)
+			if rng.IntN(5) != 0 && from > to {
+				from, to = to, from
+			}
+			found = append(found, Discovery{Site: b.CallSite(fns[from], fns[to]), Fn: fns[to], Freq: int64(1 + rng.IntN(3))})
+		}
+		p := b.MustBuild()
+		d := New(p, Options{Incremental: true})
+		for len(found) > 0 {
+			n := min(1+rng.IntN(8), len(found))
+			d.InjectDiscoveries(found[:n])
+			found = found[n:]
+			d.ReencodeNow(nil, rng.IntN(5) != 0)
+			snap := d.cur()
+			full, _ := newDecodeIndex(d.g, snap.dicts[snap.epoch], nil)
+			got := snap.idx[snap.epoch]
+			diffIndexes(t, snap.epoch, got, full)
+			if !reflect.DeepEqual(maps.Collect(got.sites.All()), maps.Collect(full.sites.All())) {
+				t.Errorf("seed %d epoch %d: derived site table differs from a from-scratch one", seed, snap.epoch)
+			}
+			if t.Failed() {
+				t.Fatalf("seed %d: derived index diverged at epoch %d", seed, snap.epoch)
+			}
+		}
 	}
 }

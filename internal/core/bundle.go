@@ -86,13 +86,14 @@ func (d *DACCE) ExportBundle() *Bundle {
 		b.Edges = append(b.Edges, BundleEdge{Site: e.Site, Target: e.Target})
 	}
 	for _, asn := range snap.dicts {
-		ep := BundleEpoch{MaxID: asn.MaxID, NumCC: make(map[string]uint64, len(asn.NumCC))}
-		for fn, n := range asn.NumCC {
+		ep := BundleEpoch{MaxID: asn.MaxID, NumCC: make(map[string]uint64)}
+		for fn, n := range asn.AllNumCC() {
 			ep.NumCC[fmt.Sprint(fn)] = n
 		}
-		for key, code := range asn.Codes {
+		for seq, code := range asn.AllCodes() {
+			e := d.g.Edges[seq]
 			ep.Codes = append(ep.Codes, BundleCode{
-				Site: key.Site, Target: key.Target,
+				Site: e.Site, Target: e.Target,
 				Encoded: code.Encoded, Value: code.Value, Back: code.Back,
 			})
 		}
@@ -148,25 +149,41 @@ func NewDecoderFromBundle(b *Bundle) (*Decoder, error) {
 		g.AddEdge(e.Site, e.Target)
 	}
 	var dicts []*blenc.Assignment
+	var prev *blenc.Assignment
 	for _, ep := range b.Epochs {
-		asn := &blenc.Assignment{
-			MaxID: ep.MaxID,
-			NumCC: make(map[prog.FuncID]uint64, len(ep.NumCC)),
-			Codes: make(map[graph.EdgeKey]blenc.Code, len(ep.Codes)),
-		}
+		numCC := make(map[prog.FuncID]uint64, len(ep.NumCC))
 		for k, v := range ep.NumCC {
 			var fn prog.FuncID
 			if _, err := fmt.Sscan(k, &fn); err != nil {
 				return nil, fmt.Errorf("core: bundle numCC key %q: %w", k, err)
 			}
-			asn.NumCC[fn] = v
-		}
-		for _, c := range ep.Codes {
-			asn.Codes[graph.EdgeKey{Site: c.Site, Target: c.Target}] = blenc.Code{
-				Encoded: c.Encoded, Value: c.Value, Back: c.Back,
+			if fn >= 0 { // no function has a negative id
+				numCC[fn] = v
 			}
 		}
+		type edgeCode struct {
+			e *graph.Edge
+			c blenc.Code
+		}
+		var codes []edgeCode
+		for _, c := range ep.Codes {
+			// A code of an edge the bundle's graph lacks could never be
+			// looked up.
+			if e := g.Edge(c.Site, c.Target); e != nil {
+				codes = append(codes, edgeCode{e, blenc.Code{Encoded: c.Encoded, Value: c.Value, Back: c.Back}})
+			}
+		}
+		asn, _ := buildDict(prev, func(bd *blenc.Builder) {
+			for fn, n := range numCC {
+				bd.SetNumCC(fn, n)
+			}
+			for _, c := range codes {
+				bd.SetCode(c.e, c.c)
+			}
+		}, len(codes), len(numCC))
+		asn.MaxID = ep.MaxID
 		dicts = append(dicts, asn)
+		prev = asn
 	}
 	return &Decoder{P: pb, G: g, Dicts: dicts}, nil
 }

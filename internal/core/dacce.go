@@ -173,9 +173,8 @@ type DACCE struct {
 	// the thread's buffer, which is batch-registered under one mu
 	// acquisition per discoveryBatch edges (or at the next pass/export,
 	// whichever drains first).
-	mu         sync.Mutex
-	g          *graph.Graph
-	pendingNew []*graph.Edge // edges registered since the last pass
+	mu sync.Mutex
+	g  *graph.Graph
 
 	// discBufs lists every thread's edge publication buffer, appended
 	// at ThreadStart. drainAllLocked iterates this registry — not the
@@ -324,12 +323,13 @@ func New(p *prog.Program, opt Options) *DACCE {
 	// Epoch 0: the graph contains only main; encode it so maxID and the
 	// first decode dictionary exist before the first call (paper §3:
 	// "starts with a call graph containing only function main").
-	asn := blenc.Encode(d.g, blenc.Options{Budget: d.opt.Budget, NoHotOrder: d.opt.NoHotFirst})
+	asn := blenc.Encode(d.g, nil, blenc.Options{Budget: d.opt.Budget, NoHotOrder: d.opt.NoHotFirst})
+	ix, _ := newDecodeIndex(d.g, asn, nil)
 	d.snap.Store(&encSnap{
 		epoch:    0,
 		maxID:    asn.MaxID,
 		dicts:    []*blenc.Assignment{asn},
-		idx:      []*decodeIndex{newDecodeIndex(d.g, asn)},
+		idx:      []*decodeIndex{ix},
 		tail:     map[prog.FuncID]bool{},
 		compress: map[graph.EdgeKey]bool{},
 	})
@@ -500,7 +500,7 @@ func (d *DACCE) OnSample(t *machine.Thread, capture any) {
 		if ctx, err := dec.decodeOne(c, &st.scratch); err == nil {
 			ix := snap.idx[c.Epoch]
 			for i := 1; i < len(ctx); i++ {
-				if e := ix.edges[graph.EdgeKey{Site: ctx[i].Site, Target: ctx[i].Fn}]; e != nil {
+				if e := ix.edge(ctx[i].Site, ctx[i].Fn); e != nil {
 					atomic.AddInt64(&e.Freq, 1)
 				}
 			}
@@ -679,13 +679,11 @@ type Discovery struct {
 
 // InjectDiscoveries feeds a batch of edge observations through the same
 // bookkeeping a runtime-handler trap performs — graph insertion and
-// registration, frequency credit, trigger counters, pendingNew — but
-// without executing any call. It exists for the experiment suites
-// (notably the pause suite), which need to stage graphs of a precise
-// size and delta and then measure a single re-encoding pass: going
-// through the graph directly would bypass pendingNew and starve the
-// incremental Refresh of the additions it renumbers. No pass is
-// triggered; pair with ReencodeNow.
+// registration, frequency credit, trigger counters and, once
+// installed, the site's stub rebuild — but without executing any call.
+// It exists for the experiment suites (notably the pause suite), which
+// need to stage graphs of a precise size and delta and then measure a
+// single re-encoding pass. No pass is triggered; pair with ReencodeNow.
 func (d *DACCE) InjectDiscoveries(batch []Discovery) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -710,5 +708,4 @@ func (d *DACCE) InjectDiscoveries(batch []Discovery) {
 		}
 	}
 	d.g.RegisterEdges(fresh)
-	d.pendingNew = append(d.pendingNew, fresh...)
 }

@@ -120,7 +120,8 @@ type step struct {
 // walks the live in-edge list and filters by the dictionary.
 func (dec *Decoder) findEdge(dict *blenc.Assignment, ix *decodeIndex, fn prog.FuncID, id uint64) (step, bool) {
 	if ix != nil {
-		for _, e := range ix.in[fn] {
+		ins, _ := ix.in.Get(int(fn))
+		for _, e := range ins {
 			if e.code <= id && id < e.code+e.ncc {
 				return step{site: e.site, caller: e.caller, code: e.code}, true
 			}
@@ -132,11 +133,11 @@ func (dec *Decoder) findEdge(dict *blenc.Assignment, ix *decodeIndex, fn prog.Fu
 		return step{}, false
 	}
 	for _, e := range n.In {
-		code, ok := dict.Codes[graph.EdgeKey{Site: e.Site, Target: e.Target}]
+		code, ok := dict.CodeOf(e)
 		if !ok || !code.Encoded {
 			continue // edge absent at that epoch, or unencoded
 		}
-		ncc := dict.NumCC[e.Caller]
+		ncc := dict.NumCCOf(e.Caller)
 		if code.Value <= id && id < code.Value+ncc {
 			return step{site: e.Site, caller: e.Caller, code: code.Value}, true
 		}

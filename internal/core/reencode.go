@@ -121,10 +121,9 @@ type passPlan struct {
 	reason    telemetry.Reason
 	mode      passMode
 
-	// added is the pendingNew batch the plan consumed; restored to
-	// pendingNew if the plan is discarded so a later incremental pass
-	// still sees the additions.
-	added []*graph.Edge
+	// edges is how many registered edges the plan encodes; edges
+	// registered after the prepare are stragglers.
+	edges int
 
 	asn *blenc.Assignment
 	idx *decodeIndex
@@ -134,11 +133,10 @@ type passPlan struct {
 	compressAdds []graph.EdgeKey
 
 	// incremental: the renumbering was served by blenc.Refresh without
-	// fallback, so changed/affected bound the delta rebuilds below.
-	// Otherwise every site is rebuilt and every thread translated.
+	// fallback, so changed bounds the delta rebuilds below. Otherwise
+	// every site is rebuilt and every thread translated.
 	incremental bool
 	changed     []graph.EdgeKey
-	affected    map[prog.FuncID]bool
 	// dirtyEdges is changed ∪ compressAdds: the edges whose actionFor
 	// result can differ from the previous epoch. dirtySites are their
 	// call sites — the delta stub-rebuild set.
@@ -157,7 +155,9 @@ type passPlan struct {
 // compression additions and delta rebuild sets. Caller holds d.mu with
 // publication buffers drained; the world may still be running (the
 // concurrent-prepare path), so everything here reads the registered
-// graph under d.mu and touches no stub or thread state.
+// graph under d.mu and touches no stub or thread state. The assignment
+// and the index are derived from the current epoch's and share storage
+// with them; an incremental plan costs O(delta + affected region).
 func (d *DACCE) preparePlanLocked(mode passMode, trig trigSnap) *passPlan {
 	snap := d.cur()
 	plan := &passPlan{
@@ -165,25 +165,23 @@ func (d *DACCE) preparePlanLocked(mode passMode, trig trigSnap) *passPlan {
 		prevMaxID: snap.maxID,
 		reason:    trig.reason(mode != passAuto),
 		mode:      mode,
-		added:     d.pendingNew,
+		edges:     d.g.NumEdges(),
 	}
-	d.pendingNew = nil
 
 	t0 := time.Now()
 	prev := snap.dicts[len(snap.dicts)-1]
+	opt := blenc.Options{Budget: d.opt.Budget, NoHotOrder: d.opt.NoHotFirst}
 	wantIncremental := d.opt.Incremental && len(snap.dicts) > 1 &&
 		(mode == passForceIncremental || (mode == passAuto && trig.discoveryOnly()))
 	if wantIncremental {
-		asn, changed, affected, full := blenc.Refresh(d.g, prev, plan.added,
-			blenc.Options{Budget: d.opt.Budget, NoHotOrder: d.opt.NoHotFirst})
+		asn, changed, full := blenc.Refresh(d.g, prev, opt)
 		plan.asn = asn
 		if !full {
 			plan.incremental = true
 			plan.changed = changed
-			plan.affected = affected
 		}
 	} else {
-		plan.asn = blenc.Encode(d.g, blenc.Options{Budget: d.opt.Budget, NoHotOrder: d.opt.NoHotFirst})
+		plan.asn = blenc.Encode(d.g, prev, opt)
 	}
 	if plan.incremental {
 		plan.renumberedEdges = len(plan.changed)
@@ -193,11 +191,9 @@ func (d *DACCE) preparePlanLocked(mode passMode, trig trigSnap) *passPlan {
 	plan.renumberNanos = time.Since(t0).Nanoseconds()
 
 	t1 := time.Now()
-	if plan.incremental {
-		plan.idx, plan.indexEntries = deltaDecodeIndex(d.g, snap.idx[len(snap.idx)-1],
-			plan.asn, plan.changed, plan.affected)
-	} else {
-		plan.idx = newDecodeIndex(d.g, plan.asn)
+	plan.idx, plan.indexEntries = newDecodeIndex(d.g, plan.asn, snap.idx[len(snap.idx)-1])
+	if !plan.incremental {
+		// A full pass is priced as a whole-index build.
 		plan.indexEntries = plan.asn.EncodedEdges
 	}
 	plan.indexNanos = time.Since(t1).Nanoseconds()
@@ -207,8 +203,8 @@ func (d *DACCE) preparePlanLocked(mode passMode, trig trigSnap) *passPlan {
 	// published set is immutable, and compression flips a site's action,
 	// so additions join the dirty-edge set).
 	plan.compress = snap.compress
-	for _, e := range d.g.Edges {
-		if e.Back && atomic.LoadInt64(&e.Freq) >= d.opt.CompressMinPushes && !plan.compress[edgeKeyOf(e)] {
+	for _, e := range plan.asn.BackEdges() {
+		if atomic.LoadInt64(&e.Freq) >= d.opt.CompressMinPushes && !plan.compress[edgeKeyOf(e)] {
 			if len(plan.compress) == len(snap.compress) { // first addition: copy
 				compress := make(map[graph.EdgeKey]bool, len(snap.compress)+1)
 				for k, v := range snap.compress {
@@ -237,51 +233,59 @@ func (d *DACCE) preparePlanLocked(mode passMode, trig trigSnap) *passPlan {
 	return plan
 }
 
-// discardPlanLocked returns a prepared-but-unusable plan's consumed
-// additions to pendingNew so a later incremental pass still sees them.
-func (d *DACCE) discardPlanLocked(plan *passPlan) {
-	if len(plan.added) > 0 {
-		d.pendingNew = append(plan.added, d.pendingNew...)
-	}
-}
-
-// extendPlanLocked folds straggler edges — discovered between the
+// extendPlanLocked folds straggler edges — registered between the
 // prepare and the world actually stopping, drained inside the pause —
 // into a prepared plan with a delta Refresh on top of the prepared
 // assignment. Falls back to re-preparing fully (still inside the pause)
 // when the straggler refresh cannot stay incremental. Caller holds d.mu
 // with the world stopped.
 func (d *DACCE) extendPlanLocked(plan *passPlan, trig trigSnap) *passPlan {
-	stragglers := d.pendingNew
-	d.pendingNew = nil
-	plan.added = append(plan.added, stragglers...)
-
-	t0 := time.Now()
-	asn, changed, affected, full := blenc.Refresh(d.g, plan.asn, stragglers,
-		blenc.Options{Budget: d.opt.Budget, NoHotOrder: d.opt.NoHotFirst})
-	if full || !plan.incremental {
-		// Either the straggler refresh lost the incremental structure or
-		// the plan was a full one anyway: redo the whole preparation
+	if !plan.incremental {
+		// A full plan has no delta to extend: redo the whole preparation
 		// in-pause against the (unchanged) epoch.
-		d.discardPlanLocked(plan)
 		return d.preparePlanLocked(plan.mode, trig)
 	}
-	plan.asn = asn
+	t0 := time.Now()
+	asn, changed, full := blenc.Refresh(d.g, plan.asn,
+		blenc.Options{Budget: d.opt.Budget, NoHotOrder: d.opt.NoHotFirst})
+	if full {
+		// The straggler refresh lost the incremental structure.
+		return d.preparePlanLocked(plan.mode, trig)
+	}
 	t1 := time.Now()
 	var entries int
-	plan.idx, entries = deltaDecodeIndex(d.g, plan.idx, asn, changed, affected)
+	plan.idx, entries = newDecodeIndex(d.g, asn, plan.idx)
 	plan.indexEntries += entries
 	plan.indexNanos += time.Since(t1).Nanoseconds()
-	plan.renumberedEdges += len(changed)
+	// The epoch's stored delta is relative to the published dictionary:
+	// keep the prepared entries the straggler refresh left alone.
+	for k, c := range plan.asn.Codes {
+		if _, ok := asn.Codes[k]; !ok {
+			asn.Codes[k] = c
+		}
+	}
+	for fn, n := range plan.asn.NumCC {
+		if _, ok := asn.NumCC[fn]; !ok {
+			asn.NumCC[fn] = n
+		}
+	}
+	plan.asn = asn
+	plan.edges = d.g.NumEdges()
 	plan.renumberNanos += time.Since(t0).Nanoseconds() - time.Since(t1).Nanoseconds()
-	plan.changed = append(plan.changed, changed...)
-	for fn := range affected {
-		plan.affected[fn] = true
+	// An edge the straggler refresh renumbered again is still one
+	// renumbered edge.
+	counted := make(map[graph.EdgeKey]bool, len(plan.changed))
+	for _, k := range plan.changed {
+		counted[k] = true
 	}
 	for _, k := range changed {
+		if !counted[k] {
+			plan.changed = append(plan.changed, k)
+		}
 		plan.dirtyEdges[k] = true
 		plan.dirtySites[k.Site] = true
 	}
+	plan.renumberedEdges = len(plan.changed)
 	return plan
 }
 
@@ -594,11 +598,9 @@ func (d *DACCE) reencodeConcurrent(self *machine.Thread, mode passMode) {
 
 	if d.cur().epoch != plan.prevEpoch {
 		// A forced pass (ReencodeNow bypasses the gate) published an epoch
-		// between our prepare and the stop. The plan is stale; its
-		// consumed additions go back to pendingNew, and — for an auto
-		// pass — the intervening pass reset the counters, so re-check
-		// before paying for a re-preparation inside the pause.
-		d.discardPlanLocked(plan)
+		// between our prepare and the stop. The plan is stale and — for
+		// an auto pass — the intervening pass reset the counters, so
+		// re-check before paying for a re-preparation inside the pause.
 		d.drainAllLocked()
 		trig = d.trigSnapshot()
 		if mode == passAuto && !trig.fired() {
@@ -611,7 +613,7 @@ func (d *DACCE) reencodeConcurrent(self *machine.Thread, mode passMode) {
 		// see (and encode) every edge discovered before the world
 		// stopped.
 		d.drainAllLocked()
-		if len(d.pendingNew) > 0 {
+		if d.g.NumEdges() > plan.edges {
 			plan = d.extendPlanLocked(plan, trig)
 		}
 	}

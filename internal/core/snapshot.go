@@ -1,9 +1,12 @@
 package core
 
 import (
+	"slices"
+
 	"dacce/internal/blenc"
 	"dacce/internal/graph"
 	"dacce/internal/prog"
+	"dacce/internal/pvec"
 )
 
 // encSnap bundles the read-mostly encoding state into one immutable
@@ -24,7 +27,8 @@ import (
 //     copy-on-write under d.mu;
 //   - dicts and idx grow by one entry per epoch and share their prefix
 //     with the previous snapshot (the slices are append-copied, the
-//     *Assignment/*decodeIndex elements are shared and frozen);
+//     *Assignment/*decodeIndex elements are shared and frozen), and
+//     each new element shares its storage with the one before it;
 //   - epoch == len(dicts)-1 and maxID == dicts[epoch].MaxID;
 //   - tail and compress are never mutated in place: a new map replaces
 //     the old one when an entry is added.
@@ -68,26 +72,32 @@ func (s *encSnap) withTailLocked(fn prog.FuncID) *encSnap {
 
 // decodeIndex is the per-epoch decode acceleration structure: for every
 // function, the encoded in-edges of the epoch with their code ranges
-// (Algorithm 1 lines 26–33), plus an edge lookup table for crediting
-// sample-estimated frequencies. It is built once per re-encoding pass —
-// with d.mu held and the world stopped — and immutable afterwards, so
-// the decoder and the sampling controller can walk it lock-free while
-// the live graph keeps growing on other threads.
+// (Algorithm 1 lines 26–33), plus a per-site edge table for crediting
+// sample-estimated frequencies. It is built once per re-encoding pass
+// with d.mu held and immutable afterwards, so the decoder and the
+// sampling controller can walk it lock-free while the live graph keeps
+// growing on other threads. Both tables are persistent vectors shared
+// with the previous epoch's index: an epoch stores only the in-edge
+// lists and site entries that changed.
 //
 // An epoch's encoded edge set is frozen by construction: edges
 // discovered after the pass are unencoded (they live on the ccStack and
 // decode through the program's static site table, not through the
 // graph), so the index is complete for every capture of its epoch.
 type decodeIndex struct {
-	// in maps a function to its encoded in-edges at this epoch, in
-	// in-edge insertion order (the same order Decoder.findEdge walks
-	// Node.In), each carrying the caller's numCC for the range check.
-	in map[prog.FuncID][]inEdge
-	// edges maps every edge that existed when the index was built to
-	// its graph edge, whose Freq field is updated atomically by the
-	// sampling controller. Edges discovered later are absent; they are
-	// counted directly by their unencoded stubs, so no credit is lost.
-	edges map[graph.EdgeKey]*graph.Edge
+	// in maps a function (by FuncID) to its encoded in-edges at this
+	// epoch, in in-edge insertion order (the same order Decoder.findEdge
+	// walks Node.In), each carrying the caller's numCC for the range
+	// check.
+	in pvec.Vec[[]inEdge]
+	// sites maps a call site (by SiteID) to its edges that existed when
+	// the index was built (for a live pass, the edges of its epoch),
+	// whose Freq fields the sampling controller updates atomically.
+	// Edges discovered later are absent; they are counted directly by
+	// their unencoded stubs, so no credit is lost.
+	sites pvec.Vec[[]*graph.Edge]
+	// edges is how many of g.Edges (a prefix) the site table holds.
+	edges int
 }
 
 // inEdge is one encoded in-edge of a function at one epoch.
@@ -98,88 +108,73 @@ type inEdge struct {
 	ncc    uint64
 }
 
-// newDecodeIndex builds the immutable decode index for one epoch's
-// assignment. Caller holds d.mu (and, during re-encoding, the world is
-// stopped), so the graph iteration is safe.
-func newDecodeIndex(g *graph.Graph, asn *blenc.Assignment) *decodeIndex {
-	ix := &decodeIndex{
-		in:    make(map[prog.FuncID][]inEdge),
-		edges: make(map[graph.EdgeKey]*graph.Edge, len(g.Edges)),
-	}
-	for _, e := range g.Edges {
-		key := graph.EdgeKey{Site: e.Site, Target: e.Target}
-		ix.edges[key] = e
-		code, ok := asn.Codes[key]
-		if !ok || !code.Encoded {
-			continue
+// edge returns the (site, fn) edge if it existed at the index's epoch.
+func (ix *decodeIndex) edge(site prog.SiteID, fn prog.FuncID) *graph.Edge {
+	es, _ := ix.sites.Get(int(site))
+	for _, e := range es {
+		if e.Target == fn {
+			return e
 		}
-		ix.in[e.Target] = append(ix.in[e.Target], inEdge{
-			site:   e.Site,
-			caller: e.Caller,
-			code:   code.Value,
-			ncc:    asn.NumCC[e.Caller],
-		})
 	}
-	return ix
+	return nil
 }
 
-// deltaDecodeIndex derives the next epoch's decode index from the
-// previous one after an incremental Refresh, rebuilding in-edge lists
-// only for the functions the pass renumbered. It mirrors the
-// encSnap/compress copy-on-write idiom: the map headers are copied (an
-// O(nodes + edges) pointer copy, paid off-pause during the concurrent
-// prepare), but the in-edge lists of unaffected functions are shared
-// with the previous epoch and no code or numCC is recomputed for them.
+// newDecodeIndex builds the decode index for asn, an assignment of g,
+// with every edge of g in the site table. With a nil prev it builds
+// from scratch; otherwise prev must be the index of the dictionary asn
+// was derived from, on the same graph, and only what asn's stored delta
+// can have changed is rebuilt: the in-edge lists of the targets of
+// changed codes and of the callees of functions whose numCC changed (a
+// list's ranges depend on exactly those), and the site entries of the
+// edges registered since prev. Everything else is shared with prev.
+// Caller holds d.mu (or owns g exclusively), so the graph iteration is
+// safe.
 //
-// The dirty set is affected ∪ targets(changed): affected alone would
-// already suffice — a function's in-edge ranges depend only on its own
-// in-edge codes and its callers' numCC, both of which only change for
-// renumbered nodes — but the union keeps the index sound even against
-// a Refresh that reports a changed edge outside its affected closure.
-//
-// Returns the new index and how many in-edge entries were (re)built,
-// for per-phase cost attribution.
-func deltaDecodeIndex(g *graph.Graph, prev *decodeIndex, asn *blenc.Assignment, changed []graph.EdgeKey, affected map[prog.FuncID]bool) (*decodeIndex, int) {
-	dirty := make(map[prog.FuncID]bool, len(affected)+len(changed))
-	for fn := range affected {
-		dirty[fn] = true
+// Returns the index and how many in-edge entries it (re)built, for
+// per-phase cost attribution.
+func newDecodeIndex(g *graph.Graph, asn *blenc.Assignment, prev *decodeIndex) (*decodeIndex, int) {
+	var base decodeIndex
+	if prev != nil {
+		base = *prev
 	}
-	for _, k := range changed {
-		dirty[k.Target] = true
+	in, sites := base.in.Edit(), base.sites.Edit()
+	// The site table gains the edges registered since prev was built.
+	for _, e := range g.Edges[base.edges:] {
+		es, _ := sites.Get(int(e.Site))
+		sites.Set(int(e.Site), append(es[:len(es):len(es)], e))
 	}
-
-	ix := &decodeIndex{
-		in:    make(map[prog.FuncID][]inEdge, len(prev.in)+len(dirty)),
-		edges: make(map[graph.EdgeKey]*graph.Edge, len(prev.edges)+len(changed)),
-	}
-	for k, e := range prev.edges {
-		ix.edges[k] = e
-	}
-	for _, k := range changed {
-		if _, ok := ix.edges[k]; !ok {
-			if e := g.Edge(k.Site, k.Target); e != nil {
-				ix.edges[k] = e
+	var dirty map[prog.FuncID]bool
+	if prev == nil {
+		dirty = make(map[prog.FuncID]bool, len(g.NodeSeq))
+		for _, n := range g.NodeSeq {
+			dirty[n.Fn] = true
+		}
+	} else {
+		dirty = make(map[prog.FuncID]bool, len(asn.Codes)+len(asn.NumCC))
+		for k := range asn.Codes {
+			dirty[k.Target] = true
+		}
+		for fn := range asn.NumCC {
+			if n := g.Node(fn); n != nil {
+				for _, e := range n.Out {
+					dirty[e.Target] = true
+				}
 			}
 		}
 	}
-	for fn, list := range prev.in {
-		if !dirty[fn] {
-			ix.in[fn] = list
-		}
-	}
 	rebuilt := 0
+	var list []inEdge // scratch; only a list that differs is copied out
 	for fn := range dirty {
 		n := g.Node(fn)
 		if n == nil {
 			continue
 		}
 		// Node.In insertion order is the g.Edges registration order
-		// filtered to this target, so the rebuilt list matches what
-		// newDecodeIndex would produce entry for entry.
-		var list []inEdge
+		// filtered to this target, so a rebuilt list matches what a
+		// from-scratch build produces entry for entry.
+		list = list[:0]
 		for _, e := range n.In {
-			key := graph.EdgeKey{Site: e.Site, Target: e.Target}
-			code, ok := asn.Codes[key]
+			code, ok := asn.CodeOf(e)
 			if !ok || !code.Encoded {
 				continue
 			}
@@ -187,13 +182,18 @@ func deltaDecodeIndex(g *graph.Graph, prev *decodeIndex, asn *blenc.Assignment, 
 				site:   e.Site,
 				caller: e.Caller,
 				code:   code.Value,
-				ncc:    asn.NumCC[e.Caller],
+				ncc:    asn.NumCCOf(e.Caller),
 			})
-			rebuilt++
 		}
-		if len(list) > 0 {
-			ix.in[fn] = list
+		old, _ := in.Get(int(fn))
+		switch {
+		case slices.Equal(list, old):
+		case len(list) == 0:
+			in.Delete(int(fn))
+		default:
+			in.Set(int(fn), slices.Clone(list))
+			rebuilt += len(list)
 		}
 	}
-	return ix, rebuilt
+	return &decodeIndex{in: in.Vec(), sites: sites.Vec(), edges: len(g.Edges)}, rebuilt
 }

@@ -145,9 +145,7 @@ func (d *DACCE) ExportState() *EncoderState {
 	for _, n := range d.g.NodeSeq {
 		st.Nodes = append(st.Nodes, n.Fn)
 	}
-	edgeIdx := make(map[graph.EdgeKey]int, len(d.g.Edges))
-	for i, e := range d.g.Edges {
-		edgeIdx[edgeKeyOf(e)] = i
+	for _, e := range d.g.Edges {
 		// Freq is bumped atomically on the lock-free encoded path, so a
 		// mid-run export must read it the same way.
 		st.Edges = append(st.Edges, StateEdge{Site: e.Site, Target: e.Target, Freq: atomic.LoadInt64(&e.Freq)})
@@ -173,22 +171,16 @@ func (d *DACCE) ExportState() *EncoderState {
 			Excluded:          asn.Excluded,
 			EncodedEdges:      asn.EncodedEdges,
 		}
-		for fn, n := range asn.NumCC {
+		// Both dictionaries iterate in key order; an edge's Seq is its
+		// index into st.Edges.
+		for fn, n := range asn.AllNumCC() {
 			ep.NumCC = append(ep.NumCC, StateNumCC{Fn: fn, NumCC: n})
 		}
-		sort.Slice(ep.NumCC, func(i, j int) bool { return ep.NumCC[i].Fn < ep.NumCC[j].Fn })
-		for key, code := range asn.Codes {
-			idx, ok := edgeIdx[key]
-			if !ok {
-				// Cannot happen on an append-only graph; skip rather than
-				// persist a dangling reference.
-				continue
-			}
+		for seq, code := range asn.AllCodes() {
 			ep.Codes = append(ep.Codes, StateCode{
-				Edge: idx, Encoded: code.Encoded, Value: code.Value, Back: code.Back,
+				Edge: seq, Encoded: code.Encoded, Value: code.Value, Back: code.Back,
 			})
 		}
-		sort.Slice(ep.Codes, func(i, j int) bool { return ep.Codes[i].Edge < ep.Codes[j].Edge })
 		st.Epochs = append(st.Epochs, ep)
 	}
 	return st
@@ -298,31 +290,63 @@ func (st *EncoderState) matches(p *prog.Program) error {
 	return nil
 }
 
-// assignments converts the per-epoch dictionaries back to blenc form.
-func (st *EncoderState) assignments() []*blenc.Assignment {
-	dicts := make([]*blenc.Assignment, 0, len(st.Epochs))
-	for _, ep := range st.Epochs {
-		asn := &blenc.Assignment{
-			MaxID:             ep.MaxID,
-			Overflowed:        ep.Overflowed,
-			UnrestrictedMaxID: ep.UnrestrictedMaxID,
-			Excluded:          ep.Excluded,
-			EncodedEdges:      ep.EncodedEdges,
-			NumCC:             make(map[prog.FuncID]uint64, len(ep.NumCC)),
-			Codes:             make(map[graph.EdgeKey]blenc.Code, len(ep.Codes)),
-		}
-		for _, nc := range ep.NumCC {
-			asn.NumCC[nc.Fn] = nc.NumCC
-		}
-		for _, c := range ep.Codes {
-			e := st.Edges[c.Edge]
-			asn.Codes[graph.EdgeKey{Site: e.Site, Target: e.Target}] = blenc.Code{
-				Encoded: c.Encoded, Value: c.Value, Back: c.Back,
-			}
-		}
-		dicts = append(dicts, asn)
+// decodeTables converts the per-epoch dictionaries of a state back to
+// blenc form over g, the state's rebuilt graph, together with one decode
+// index per epoch. Each epoch is built as its difference from the one
+// before, so consecutive dictionaries and indexes share storage the
+// way a live encoder's do.
+func (st *EncoderState) decodeTables(g *graph.Graph) ([]*blenc.Assignment, []*decodeIndex) {
+	edges := make([]*graph.Edge, len(st.Edges))
+	for i, se := range st.Edges {
+		edges[i] = g.Edge(se.Site, se.Target)
 	}
-	return dicts
+	dicts := make([]*blenc.Assignment, 0, len(st.Epochs))
+	idx := make([]*decodeIndex, 0, len(st.Epochs))
+	var prev *blenc.Assignment
+	var prevIx *decodeIndex
+	for _, ep := range st.Epochs {
+		asn, shared := buildDict(prev, func(b *blenc.Builder) {
+			for _, nc := range ep.NumCC {
+				b.SetNumCC(nc.Fn, nc.NumCC)
+			}
+			for _, c := range ep.Codes {
+				b.SetCode(edges[c.Edge], blenc.Code{Encoded: c.Encoded, Value: c.Value, Back: c.Back})
+			}
+		}, len(ep.Codes), len(ep.NumCC))
+		asn.MaxID = ep.MaxID
+		asn.Overflowed = ep.Overflowed
+		asn.UnrestrictedMaxID = ep.UnrestrictedMaxID
+		asn.Excluded = ep.Excluded
+		asn.EncodedEdges = ep.EncodedEdges
+		if !shared {
+			prevIx = nil
+		}
+		// The final graph is a superset of every epoch's edge set; edges
+		// discovered after an epoch's pass have no code in its dictionary
+		// and are skipped, so each rebuilt index lists the in-edges the
+		// live pass's index did.
+		prevIx, _ = newDecodeIndex(g, asn, prevIx)
+		dicts = append(dicts, asn)
+		idx = append(idx, prevIx)
+		prev = asn
+	}
+	return dicts, idx
+}
+
+// buildDict assembles one epoch's dictionary through fill, sharing
+// storage with prev. A well-formed epoch only adds to or changes prev's
+// entries; when fill leaves more entries than it set (it dropped some of
+// prev's, or set one twice), the dictionary is rebuilt with no base and
+// shared reports false.
+func buildDict(prev *blenc.Assignment, fill func(*blenc.Builder), codes, numCC int) (asn *blenc.Assignment, shared bool) {
+	b := blenc.NewBuilder(prev)
+	fill(b)
+	if c, n := b.Len(); prev != nil && (c != codes || n != numCC) {
+		b = blenc.NewBuilder(nil)
+		fill(b)
+		return b.Build(), false
+	}
+	return b.Build(), prev != nil
 }
 
 // rebuildGraph reconstructs the call graph on program p, preserving
@@ -370,15 +394,7 @@ func Restore(p *prog.Program, opt Options, st *EncoderState) (*DACCE, error) {
 	}
 	d := New(p, opt)
 	g := st.rebuildGraph(p)
-	dicts := st.assignments()
-	idx := make([]*decodeIndex, 0, len(dicts))
-	for _, asn := range dicts {
-		// The final graph is a superset of every epoch's edge set; edges
-		// discovered after an epoch's pass have no code in its dictionary
-		// and are skipped, so each rebuilt index matches the one the live
-		// pass built.
-		idx = append(idx, newDecodeIndex(g, asn))
-	}
+	dicts, idx := st.decodeTables(g)
 	tail := make(map[prog.FuncID]bool, len(st.Tail))
 	for _, fn := range st.Tail {
 		tail[fn] = true
@@ -416,7 +432,8 @@ func Restore(p *prog.Program, opt Options, st *EncoderState) (*DACCE, error) {
 
 // NewDecoder builds a standalone decoder from the state: a skeletal
 // program (names, site callers and kinds), the rebuilt call graph and
-// one immutable decode index per epoch. The decoder shares nothing with
+// one immutable decode index per epoch, each dictionary and index
+// sharing storage with the previous epoch's. The decoder shares nothing with
 // the process that exported the state and is safe for concurrent use —
 // the decode-as-a-service path of cmd/dacced.
 func (st *EncoderState) NewDecoder() (*Decoder, error) {
@@ -431,21 +448,8 @@ func (st *EncoderState) NewDecoder() (*Decoder, error) {
 		p.Sites = append(p.Sites, &prog.Site{ID: prog.SiteID(i), Caller: s.Caller, Kind: prog.Kind(s.Kind)})
 	}
 	g := st.rebuildGraph(p)
-	dicts := st.assignments()
-	idx := make([]*decodeIndex, 0, len(dicts))
-	for _, asn := range dicts {
-		idx = append(idx, newDecodeIndex(g, asn))
-	}
+	dicts, idx := st.decodeTables(g)
 	return &Decoder{P: p, G: g, Dicts: dicts, idx: idx}, nil
-}
-
-// NumEdgesAtEpoch returns how many edges existed when the given epoch's
-// pass ran, or the current edge count for the newest epoch.
-func (st *EncoderState) NumEdgesAtEpoch(epoch uint32) int {
-	if int(epoch) >= len(st.Epochs) {
-		return 0
-	}
-	return len(st.Epochs[epoch].Codes)
 }
 
 // Equal reports whether two states are identical field for field — the

@@ -236,7 +236,7 @@ func (ts *trapStub) Epilogue(t *machine.Thread, s *prog.Site, target prog.FuncID
 
 // discoveryBatch is how many discovered edges a thread's publication
 // buffer accumulates before the owner registers the whole batch under
-// one d.mu acquisition. Small enough that pendingNew never lags far
+// one d.mu acquisition. Small enough that the registry never lags far
 // behind discovery, large enough that a cold-start burst amortizes the
 // global lock ~discoveryBatch-fold.
 const discoveryBatch = 32
@@ -339,12 +339,11 @@ func (d *DACCE) flushBatch(batch []*graph.Edge) {
 	}
 	d.mu.Lock()
 	d.g.RegisterEdges(batch)
-	d.pendingNew = append(d.pendingNew, batch...)
 	d.mu.Unlock()
 }
 
 // drainAllLocked empties every thread's publication buffer into the
-// graph registry and pendingNew. Caller holds d.mu, which also guards
+// graph registry. Caller holds d.mu, which also guards
 // the d.discBufs registry the iteration walks. Every pass, export and
 // registry-reading accessor drains first, so the registered view is
 // complete whenever anything deterministic is derived from it;
@@ -358,7 +357,6 @@ func (d *DACCE) drainAllLocked() {
 		buf.mu.Unlock()
 		if len(batch) > 0 {
 			d.g.RegisterEdges(batch)
-			d.pendingNew = append(d.pendingNew, batch...)
 		}
 	}
 }

@@ -25,7 +25,9 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"dacce/internal/prog"
 )
@@ -45,7 +47,13 @@ func (n *Node) Name() string { return n.name }
 // Edge is a call edge. The pair (Site, Target) is unique: a direct site
 // has one edge, an indirect site one edge per distinct run-time target.
 type Edge struct {
-	Seq    int // insertion sequence number, also index into Graph.Edges
+	// Seq is the registration sequence number, also the index into
+	// Graph.Edges; -1 until RegisterEdges. Registration stores it
+	// atomically, so lock-free readers holding an edge that may still
+	// be unregistered (the trap path's stub rebuild) read it with
+	// atomic.LoadInt64; code under the registry synchronization reads
+	// it plainly.
+	Seq    int64
 	Site   prog.SiteID
 	Caller prog.FuncID
 	Target prog.FuncID
@@ -139,6 +147,9 @@ func (g *Graph) AddRoot(fn prog.FuncID) {
 // Roots returns the traversal roots (entry first).
 func (g *Graph) Roots() []prog.FuncID { return g.roots }
 
+// IsRoot reports whether fn is a traversal root.
+func (g *Graph) IsRoot(fn prog.FuncID) bool { return g.rootSet[fn] }
+
 // Program returns the underlying program.
 func (g *Graph) Program() *prog.Program { return g.p }
 
@@ -226,7 +237,7 @@ func (g *Graph) RegisterEdges(batch []*Edge) {
 		}
 		caller := g.AddNode(e.Caller)
 		tnode := g.AddNode(e.Target)
-		e.Seq = len(g.Edges)
+		atomic.StoreInt64(&e.Seq, int64(len(g.Edges)))
 		g.Edges = append(g.Edges, e)
 		caller.Out = append(caller.Out, e)
 		tnode.In = append(tnode.In, e)
@@ -273,18 +284,16 @@ func (g *Graph) ClassifyBackEdges() {
 	for _, e := range g.Edges {
 		e.Back = false
 	}
-	color := make(map[prog.FuncID]uint8, len(g.NodeSeq))
+	s := g.getScratch()
+	defer s.put()
+	color := s.mark
 
-	type frame struct {
-		n    *Node
-		next int
-	}
 	for _, root := range g.roots {
 		rn := g.nodes[root]
 		if rn == nil || color[root] != white {
 			continue
 		}
-		stack := []frame{{n: rn}}
+		stack := append(s.stack[:0], dfsFrame{n: rn})
 		color[root] = gray
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
@@ -294,7 +303,7 @@ func (g *Graph) ClassifyBackEdges() {
 				switch color[e.Target] {
 				case white:
 					color[e.Target] = gray
-					stack = append(stack, frame{n: g.nodes[e.Target]})
+					stack = append(stack, dfsFrame{n: g.nodes[e.Target]})
 				case gray:
 					e.Back = true
 				}
@@ -303,6 +312,7 @@ func (g *Graph) ClassifyBackEdges() {
 				stack = stack[:len(stack)-1]
 			}
 		}
+		s.stack = stack
 	}
 	// Unreachable nodes: mark their outgoing edges as back so they stay
 	// out of the encoding.
@@ -315,40 +325,71 @@ func (g *Graph) ClassifyBackEdges() {
 	}
 }
 
+// dfsFrame is one node on ClassifyBackEdges' explicit DFS stack.
+type dfsFrame struct {
+	n    *Node
+	next int
+}
+
+// scratch is a work buffer for the whole-graph walks, recycled across
+// calls: an encoding pass classifies and sorts the whole graph, and
+// per-call maps keyed by function were a large share of its garbage.
+type scratch struct {
+	mark  []int32 // by FuncID; only the graph's nodes' entries are valid
+	stack []dfsFrame
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// getScratch returns a scratch whose mark entry is 0 for every node of
+// g; put it back when done.
+func (g *Graph) getScratch() *scratch {
+	s := scratchPool.Get().(*scratch)
+	n := g.p.NumFuncs()
+	s.mark = slices.Grow(s.mark[:0], n)[:n]
+	for _, nd := range g.NodeSeq {
+		s.mark[nd.Fn] = 0
+	}
+	return s
+}
+
+// put recycles s, dropping its node pointers so a pooled buffer never
+// keeps a finished graph alive.
+func (s *scratch) put() {
+	clear(s.stack[:cap(s.stack)])
+	scratchPool.Put(s)
+}
+
 // TopoOrder returns the nodes reachable from entry in a topological
 // order of the graph without back edges. ClassifyBackEdges must have run
 // on the current graph. Nodes unreachable from the entry are appended at
 // the end (they have no encoded in-edges and act as isolated roots).
 func (g *Graph) TopoOrder() []*Node {
-	indeg := make(map[prog.FuncID]int, len(g.NodeSeq))
-	for _, n := range g.NodeSeq {
-		indeg[n.Fn] = 0
-	}
+	s := g.getScratch()
+	defer s.put()
+	indeg := s.mark
 	for _, e := range g.Edges {
 		if !e.Back {
 			indeg[e.Target]++
 		}
 	}
-	order := make([]*Node, 0, len(g.NodeSeq))
 	// Deterministic Kahn: seed with zero-indegree nodes in insertion
-	// order; the queue preserves discovery order.
-	queue := make([]*Node, 0, 8)
+	// order; order doubles as the FIFO queue, so it preserves discovery
+	// order.
+	order := make([]*Node, 0, len(g.NodeSeq))
 	for _, n := range g.NodeSeq {
 		if indeg[n.Fn] == 0 {
-			queue = append(queue, n)
+			order = append(order, n)
 		}
 	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		order = append(order, n)
-		for _, e := range n.Out {
+	for head := 0; head < len(order); head++ {
+		for _, e := range order[head].Out {
 			if e.Back {
 				continue
 			}
 			indeg[e.Target]--
 			if indeg[e.Target] == 0 {
-				queue = append(queue, g.nodes[e.Target])
+				order = append(order, g.nodes[e.Target])
 			}
 		}
 	}

@@ -142,7 +142,7 @@ func New(p *prog.Program, prof Profile, opt Options) *Scheme {
 		e.Freq = prof[graph.EdgeKey{Site: e.Site, Target: e.Target}]
 	}
 
-	s.asn = blenc.Encode(s.g, blenc.Options{Budget: opt.Budget})
+	s.asn = blenc.Encode(s.g, nil, blenc.Options{Budget: opt.Budget})
 	s.dec = &core.Decoder{P: p, G: s.g, Dicts: []*blenc.Assignment{s.asn}}
 	s.buildStubs(prof)
 	return s
