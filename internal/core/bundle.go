@@ -187,3 +187,19 @@ func NewDecoderFromBundle(b *Bundle) (*Decoder, error) {
 	}
 	return &Decoder{P: pb, G: g, Dicts: dicts}, nil
 }
+
+// buildDict assembles one epoch's dictionary through fill, sharing
+// storage with prev. A well-formed epoch only adds to or changes prev's
+// entries; when fill leaves more entries than it set (it dropped some of
+// prev's, or set one twice), the dictionary is rebuilt with no base and
+// shared reports false.
+func buildDict(prev *blenc.Assignment, fill func(*blenc.Builder), codes, numCC int) (asn *blenc.Assignment, shared bool) {
+	b := blenc.NewBuilder(prev)
+	fill(b)
+	if c, n := b.Len(); prev != nil && (c != codes || n != numCC) {
+		b = blenc.NewBuilder(nil)
+		fill(b)
+		return b.Build(), false
+	}
+	return b.Build(), prev != nil
+}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -14,8 +16,9 @@ import (
 // DACCE accumulated during a run — the discovered call graph with its
 // observed edge frequencies, one decode dictionary per epoch (the
 // epoch-keyed archive that keeps ids captured under old gTimeStamps
-// decodable, Fig. 6), the tail and recursion-compression sets, and the
-// adaptive controller's backoff level. It is the unit of persistence:
+// decodable, Fig. 6) stored as its change from the epoch before, the
+// tail and recursion-compression sets, and the adaptive controller's
+// backoff level. It is the unit of persistence:
 // internal/persist turns it into a versioned binary snapshot, Restore
 // turns it back into a warm encoder that re-installs with zero handler
 // traps, and NewDecoder turns it into a standalone decode service that
@@ -65,7 +68,8 @@ type EncoderState struct {
 	// compression enabled.
 	Compress []graph.EdgeKey
 
-	// Epochs holds one decode dictionary per gTimeStamp, oldest first.
+	// Epochs holds one decode dictionary per gTimeStamp, oldest first,
+	// each as its delta from the one before.
 	Epochs []StateEpoch
 }
 
@@ -82,18 +86,23 @@ type StateEdge struct {
 	Freq   int64
 }
 
-// StateEpoch is one epoch's decode dictionary.
+// StateEpoch is one epoch's decode dictionary, stored as its delta from
+// the previous epoch's: the dictionary is the previous one with the
+// listed entries set. Epoch 0 lists every entry. A pass never removes an
+// entry, so a delta only adds or changes.
 type StateEpoch struct {
 	MaxID             uint64
 	Overflowed        bool
 	UnrestrictedMaxID uint64
 	Excluded          int
 	EncodedEdges      int
-	// NumCC maps functions to their calling-context counts, sorted by
-	// function id.
+	// NumCC lists the functions whose calling-context count is new or
+	// differs from the previous epoch's, strictly increasing by function
+	// id.
 	NumCC []StateNumCC
-	// Codes maps edges (by index into EncoderState.Edges) to their code
-	// at this epoch, sorted by edge index. Edges absent from the list
+	// Codes lists the edges (by index into EncoderState.Edges) whose code
+	// is new or differs from the previous epoch's, strictly increasing
+	// by edge index. An edge with no code in this epoch or any before it
 	// did not exist when the epoch's pass ran.
 	Codes []StateCode
 }
@@ -163,31 +172,55 @@ func (d *DACCE) ExportState() *EncoderState {
 		}
 		return st.Compress[i].Target < st.Compress[j].Target
 	})
+	var prev *blenc.Assignment
 	for _, asn := range snap.dicts {
-		ep := StateEpoch{
-			MaxID:             asn.MaxID,
-			Overflowed:        asn.Overflowed,
-			UnrestrictedMaxID: asn.UnrestrictedMaxID,
-			Excluded:          asn.Excluded,
-			EncodedEdges:      asn.EncodedEdges,
-		}
-		// Both dictionaries iterate in key order; an edge's Seq is its
-		// index into st.Edges.
-		for fn, n := range asn.AllNumCC() {
-			ep.NumCC = append(ep.NumCC, StateNumCC{Fn: fn, NumCC: n})
-		}
-		for seq, code := range asn.AllCodes() {
-			ep.Codes = append(ep.Codes, StateCode{
-				Edge: seq, Encoded: code.Encoded, Value: code.Value, Back: code.Back,
-			})
-		}
-		st.Epochs = append(st.Epochs, ep)
+		st.Epochs = append(st.Epochs, d.exportEpochLocked(prev, asn))
+		prev = asn
 	}
 	return st
 }
 
+// exportEpochLocked lists asn as its delta from prev, the epoch before
+// it (nil for epoch 0). It reads asn's stored delta maps, so it costs
+// O(delta), and drops the entries that equal prev's, so the output is
+// canonical and minimal even where a stored delta is not (a plan
+// extended by a straggler refresh stores the union of two delta maps).
+// Caller holds d.mu.
+func (d *DACCE) exportEpochLocked(prev, asn *blenc.Assignment) StateEpoch {
+	ep := StateEpoch{
+		MaxID:             asn.MaxID,
+		Overflowed:        asn.Overflowed,
+		UnrestrictedMaxID: asn.UnrestrictedMaxID,
+		Excluded:          asn.Excluded,
+		EncodedEdges:      asn.EncodedEdges,
+	}
+	for fn, n := range asn.NumCC {
+		// NumCCOf reads an absent function as 0, a count no pass assigns.
+		if prev != nil && n != 0 && prev.NumCCOf(fn) == n {
+			continue
+		}
+		ep.NumCC = append(ep.NumCC, StateNumCC{Fn: fn, NumCC: n})
+	}
+	for k, code := range asn.Codes {
+		e := d.g.Edge(k.Site, k.Target)
+		if prev != nil {
+			if old, ok := prev.CodeOf(e); ok && old == code {
+				continue
+			}
+		}
+		// An edge's Seq is its index into EncoderState.Edges.
+		ep.Codes = append(ep.Codes, StateCode{
+			Edge: int(e.Seq), Encoded: code.Encoded, Value: code.Value, Back: code.Back,
+		})
+	}
+	slices.SortFunc(ep.NumCC, func(a, b StateNumCC) int { return cmp.Compare(a.Fn, b.Fn) })
+	slices.SortFunc(ep.Codes, func(a, b StateCode) int { return cmp.Compare(a.Edge, b.Edge) })
+	return ep
+}
+
 // Validate checks the state's internal consistency: every id in range,
-// the epoch chain well-formed. Deserialized snapshots go through this
+// the epoch chain well-formed, each epoch's lists strictly increasing
+// (so no entry is listed twice). Deserialized snapshots go through this
 // before any decode structure is built, so corrupt input yields errors,
 // never panics.
 func (st *EncoderState) Validate() error {
@@ -247,14 +280,20 @@ func (st *EncoderState) Validate() error {
 		return fmt.Errorf("core: state epoch %d does not match %d dictionaries", st.Epoch, len(st.Epochs))
 	}
 	for ei, ep := range st.Epochs {
-		for _, nc := range ep.NumCC {
+		for j, nc := range ep.NumCC {
 			if err := checkFn(fmt.Sprintf("epoch %d numCC key", ei), nc.Fn); err != nil {
 				return err
 			}
+			if j > 0 && nc.Fn <= ep.NumCC[j-1].Fn {
+				return fmt.Errorf("core: state epoch %d numCC entry %d (f%d) is not above f%d", ei, j, nc.Fn, ep.NumCC[j-1].Fn)
+			}
 		}
-		for _, c := range ep.Codes {
+		for j, c := range ep.Codes {
 			if c.Edge < 0 || c.Edge >= len(st.Edges) {
 				return fmt.Errorf("core: state epoch %d code references edge %d of %d", ei, c.Edge, len(st.Edges))
+			}
+			if j > 0 && c.Edge <= ep.Codes[j-1].Edge {
+				return fmt.Errorf("core: state epoch %d code entry %d (edge %d) is not above edge %d", ei, j, c.Edge, ep.Codes[j-1].Edge)
 			}
 		}
 	}
@@ -292,9 +331,9 @@ func (st *EncoderState) matches(p *prog.Program) error {
 
 // decodeTables converts the per-epoch dictionaries of a state back to
 // blenc form over g, the state's rebuilt graph, together with one decode
-// index per epoch. Each epoch is built as its difference from the one
-// before, so consecutive dictionaries and indexes share storage the
-// way a live encoder's do.
+// index per epoch. Each epoch's delta is applied on top of the epoch
+// before, so consecutive dictionaries and indexes share storage the way
+// a live encoder's do, and the work is O(total delta) plus the indexes.
 func (st *EncoderState) decodeTables(g *graph.Graph) ([]*blenc.Assignment, []*decodeIndex) {
 	edges := make([]*graph.Edge, len(st.Edges))
 	for i, se := range st.Edges {
@@ -305,22 +344,19 @@ func (st *EncoderState) decodeTables(g *graph.Graph) ([]*blenc.Assignment, []*de
 	var prev *blenc.Assignment
 	var prevIx *decodeIndex
 	for _, ep := range st.Epochs {
-		asn, shared := buildDict(prev, func(b *blenc.Builder) {
-			for _, nc := range ep.NumCC {
-				b.SetNumCC(nc.Fn, nc.NumCC)
-			}
-			for _, c := range ep.Codes {
-				b.SetCode(edges[c.Edge], blenc.Code{Encoded: c.Encoded, Value: c.Value, Back: c.Back})
-			}
-		}, len(ep.Codes), len(ep.NumCC))
+		b := blenc.NewBuilder(prev)
+		for _, nc := range ep.NumCC {
+			b.SetNumCC(nc.Fn, nc.NumCC)
+		}
+		for _, c := range ep.Codes {
+			b.SetCode(edges[c.Edge], blenc.Code{Encoded: c.Encoded, Value: c.Value, Back: c.Back})
+		}
+		asn := b.Build()
 		asn.MaxID = ep.MaxID
 		asn.Overflowed = ep.Overflowed
 		asn.UnrestrictedMaxID = ep.UnrestrictedMaxID
 		asn.Excluded = ep.Excluded
 		asn.EncodedEdges = ep.EncodedEdges
-		if !shared {
-			prevIx = nil
-		}
 		// The final graph is a superset of every epoch's edge set; edges
 		// discovered after an epoch's pass have no code in its dictionary
 		// and are skipped, so each rebuilt index lists the in-edges the
@@ -331,22 +367,6 @@ func (st *EncoderState) decodeTables(g *graph.Graph) ([]*blenc.Assignment, []*de
 		prev = asn
 	}
 	return dicts, idx
-}
-
-// buildDict assembles one epoch's dictionary through fill, sharing
-// storage with prev. A well-formed epoch only adds to or changes prev's
-// entries; when fill leaves more entries than it set (it dropped some of
-// prev's, or set one twice), the dictionary is rebuilt with no base and
-// shared reports false.
-func buildDict(prev *blenc.Assignment, fill func(*blenc.Builder), codes, numCC int) (asn *blenc.Assignment, shared bool) {
-	b := blenc.NewBuilder(prev)
-	fill(b)
-	if c, n := b.Len(); prev != nil && (c != codes || n != numCC) {
-		b = blenc.NewBuilder(nil)
-		fill(b)
-		return b.Build(), false
-	}
-	return b.Build(), prev != nil
 }
 
 // rebuildGraph reconstructs the call graph on program p, preserving

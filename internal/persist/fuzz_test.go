@@ -3,6 +3,8 @@ package persist
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"strings"
 	"testing"
 
 	"dacce/internal/core"
@@ -47,9 +49,11 @@ func (g *gen) str() string {
 }
 
 // stateFromBytes builds an arbitrary but structurally valid encoder
-// state from fuzz input: all ids in range, epoch chain well formed.
-// Everything else — names, frequencies, dictionary contents, set
-// membership and ordering — is fuzzer-controlled.
+// state from fuzz input: all ids in range, epoch chain well formed, each
+// epoch a delta listing a subset of the edges and functions in
+// increasing order. Everything else — names, frequencies, dictionary
+// contents, which entries each delta lists, set membership and
+// ordering — is fuzzer-controlled.
 func stateFromBytes(data []byte) *core.EncoderState {
 	g := &gen{b: data}
 	nf := 1 + g.n(16)
@@ -104,15 +108,15 @@ func stateFromBytes(data []byte) *core.EncoderState {
 			Excluded:          g.n(1 << 12),
 			EncodedEdges:      g.n(1 << 12),
 		}
-		for j, n := 0, g.n(nf+1); j < n; j++ {
-			ep.NumCC = append(ep.NumCC, core.StateNumCC{
-				Fn: prog.FuncID(g.n(nf)), NumCC: g.u64(),
-			})
+		for fn := 0; fn < nf; fn++ {
+			if g.byte()&1 == 1 {
+				ep.NumCC = append(ep.NumCC, core.StateNumCC{Fn: prog.FuncID(fn), NumCC: g.u64()})
+			}
 		}
-		if len(st.Edges) > 0 {
-			for j, n := 0, g.n(len(st.Edges)+1); j < n; j++ {
+		for e := range st.Edges {
+			if g.byte()&1 == 1 {
 				ep.Codes = append(ep.Codes, core.StateCode{
-					Edge:    g.n(len(st.Edges)),
+					Edge:    e,
 					Encoded: g.byte()&1 == 1,
 					Value:   g.u64(),
 					Back:    g.byte()&1 == 1,
@@ -175,9 +179,15 @@ func FuzzSnapshotLoad(f *testing.F) {
 	f.Add(trunc)
 	f.Add([]byte(Magic))
 	f.Add([]byte{})
+	for _, nb := range malformedDeltaBlobs() {
+		f.Add(nb.blob)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := Unmarshal(data)
 		if err != nil {
+			if !errors.Is(err, ErrCorrupt) && !isVersionErr(err) {
+				t.Fatalf("Unmarshal failed with neither ErrCorrupt nor a version error: %v", err)
+			}
 			return
 		}
 		if verr := st.Validate(); verr != nil {
@@ -195,4 +205,66 @@ func FuzzSnapshotLoad(f *testing.F) {
 			t.Fatal("accepted state does not round-trip")
 		}
 	})
+}
+
+// tinyState is a valid two-function, two-edge state whose single epoch
+// lists both edges' codes.
+func tinyState() *core.EncoderState {
+	return &core.EncoderState{
+		Funcs: []string{"main", "f"},
+		Sites: []core.StateSite{{Caller: 0}, {Caller: 1}},
+		Roots: []prog.FuncID{0},
+		Nodes: []prog.FuncID{0, 1},
+		Edges: []core.StateEdge{{Site: 0, Target: 1, Freq: 3}, {Site: 1, Target: 1, Freq: 1}},
+		Epochs: []core.StateEpoch{{
+			MaxID: 1,
+			NumCC: []core.StateNumCC{{Fn: 0, NumCC: 1}, {Fn: 1, NumCC: 2}},
+			Codes: []core.StateCode{{Edge: 0, Encoded: true}, {Edge: 1, Encoded: true, Value: 1, Back: true}},
+		}},
+	}
+}
+
+// namedBlob is a test snapshot and what it is.
+type namedBlob struct {
+	name string
+	blob []byte
+}
+
+// malformedDeltaBlobs returns snapshots that frame correctly but must
+// not load: a current-version epoch listing an entry twice, one listing
+// entries out of order, and a version 1 snapshot.
+func malformedDeltaBlobs() []namedBlob {
+	current := func(st *core.EncoderState) []byte {
+		return seal(Version, func(w *writer) { w.b = marshalPayload(w.b, st) })
+	}
+	repeated, unsorted := tinyState(), tinyState()
+	repeated.Epochs[0].Codes[1].Edge = 0
+	unsorted.Epochs[0].NumCC[0], unsorted.Epochs[0].NumCC[1] = unsorted.Epochs[0].NumCC[1], unsorted.Epochs[0].NumCC[0]
+	return []namedBlob{
+		{"repeated", current(repeated)},
+		{"unsorted", current(unsorted)},
+		{"v1", marshalV1(tinyState())},
+	}
+}
+
+// isVersionErr reports whether err is Unmarshal's format-version error.
+func isVersionErr(err error) bool {
+	return strings.HasPrefix(err.Error(), "persist: snapshot format version ")
+}
+
+func TestUnmarshalRejectsMalformedDeltas(t *testing.T) {
+	if _, err := Marshal(tinyState()); err != nil {
+		t.Fatalf("the unmodified state must marshal: %v", err)
+	}
+	for _, nb := range malformedDeltaBlobs() {
+		_, err := Unmarshal(nb.blob)
+		switch {
+		case err == nil:
+			t.Errorf("%s: accepted", nb.name)
+		case nb.name == "v1" && !isVersionErr(err):
+			t.Errorf("%s: %v, want the version error", nb.name, err)
+		case nb.name != "v1" && !errors.Is(err, ErrCorrupt):
+			t.Errorf("%s: %v, want ErrCorrupt", nb.name, err)
+		}
+	}
 }

@@ -8,6 +8,13 @@
 // with zero handler traps and a decode service can resolve contexts for
 // programs it never ran.
 //
+// Since format version 2 each epoch's dictionary is stored as its delta
+// from the previous epoch's (core.StateEpoch): epoch 0 lists every code
+// and numCC entry, every later epoch only the entries that are new or
+// changed, so a snapshot grows with the total delta rather than with
+// epochs × edges. Version 1 stored every epoch in full; this build
+// rejects it with a version error.
+//
 // Wire format:
 //
 //	offset  size  field
@@ -46,8 +53,8 @@ import (
 const Magic = "DACCESNP"
 
 // Version is the current snapshot format version. Load rejects
-// snapshots written by a newer format rather than misparse them.
-const Version uint32 = 1
+// snapshots written by any other format rather than misparse them.
+const Version uint32 = 2
 
 const headerSize = len(Magic) + 4 // magic + version
 const trailerSize = 4             // crc32

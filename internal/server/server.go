@@ -78,7 +78,6 @@ type tenant struct {
 	key  string
 
 	dec *core.Decoder
-	st  *core.EncoderState
 	raw []byte
 
 	// prof aggregates every context this tenant decodes into a live
@@ -173,6 +172,13 @@ func ccSuffixHash(c *core.Capture) uint64 {
 // content the key cannot bound; ccStacks are hashed into the key.
 func memoizable(c *core.Capture) bool {
 	return c.Spawn == nil
+}
+
+// sizes reports the tenant's snapshot dimensions as its decoder holds
+// them: epochs, functions, call edges and the newest epoch's MaxID.
+func (t *tenant) sizes() (epochs, funcs, edges int, maxID uint64) {
+	d := t.dec
+	return len(d.Dicts), len(d.P.Funcs), d.G.NumEdges(), d.Dicts[len(d.Dicts)-1].MaxID
 }
 
 // decodeNode resolves a capture to its interned context node, through
@@ -406,7 +412,6 @@ func (s *Server) Register(name string, data []byte) (string, error) {
 		hash:  hash,
 		key:   name + "@" + hash,
 		dec:   dec,
-		st:    st,
 		raw:   data,
 		prof:  ccprof.NewStreaming(dec.P),
 		dag:   ccdag.New(),
@@ -687,10 +692,10 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		t := s.resolve(name + "@" + hash)
+		epochs, funcs, edges, maxID := t.sizes()
 		s.writeJSON(w, ep, http.StatusOK, SnapshotInfo{
 			Tenant: name, Hash: hash,
-			Epochs: len(t.st.Epochs), Funcs: len(t.st.Funcs),
-			Edges: len(t.st.Edges), MaxID: t.st.Epochs[len(t.st.Epochs)-1].MaxID,
+			Epochs: epochs, Funcs: funcs, Edges: edges, MaxID: maxID,
 		})
 	default:
 		s.writeError(w, ep, http.StatusMethodNotAllowed, "GET, POST or PUT required")
@@ -731,6 +736,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	for _, key := range keys {
 		t := s.tenants[key]
 		dst := t.dag.Stats()
+		epochs, funcs, edges, maxID := t.sizes()
 		st.Tenants = append(st.Tenants, TenantStats{
 			DAGNodes:       dst.Nodes,
 			DAGHitRate:     dst.HitRate(),
@@ -742,10 +748,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			MemoSize:       t.memoSize.Load(),
 			Name:           t.name,
 			Hash:           t.hash,
-			Epochs:         len(t.st.Epochs),
-			Funcs:          len(t.st.Funcs),
-			Edges:          len(t.st.Edges),
-			MaxID:          t.st.Epochs[len(t.st.Epochs)-1].MaxID,
+			Epochs:         epochs,
+			Funcs:          funcs,
+			Edges:          edges,
+			MaxID:          maxID,
 			Requests:       t.requests.Load(),
 			Decoded:        t.decoded.Load(),
 			Errors:         t.errors.Load(),

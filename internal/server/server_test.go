@@ -345,6 +345,9 @@ func TestSnapshotEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || info.Hash != f.hash || info.Epochs < 2 {
 		t.Fatalf("POST snapshot: HTTP %d, info %+v", resp.StatusCode, info)
 	}
+	if epochs, funcs, edges, maxID := stateSizes(t, f.snap); info.Epochs != epochs || info.Funcs != funcs || info.Edges != edges || info.MaxID != maxID {
+		t.Fatalf("POST snapshot: info %+v, want %d epochs, %d funcs, %d edges, max id %d", info, epochs, funcs, edges, maxID)
+	}
 	if r2, dr := f.decode(t, "other@"+f.hash, f.captures[:8]); dr == nil {
 		t.Fatalf("decode against uploaded tenant: HTTP %d", r2.StatusCode)
 	}
@@ -361,6 +364,17 @@ func TestSnapshotEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("corrupt snapshot upload: HTTP %d, want 400", resp.StatusCode)
 	}
+}
+
+// stateSizes reads the dimensions a tenant reports straight from the
+// snapshot's encoder state.
+func stateSizes(t *testing.T, snap []byte) (epochs, funcs, edges int, maxID uint64) {
+	t.Helper()
+	st, err := persist.Unmarshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(st.Epochs), len(st.Funcs), len(st.Edges), st.Epochs[len(st.Epochs)-1].MaxID
 }
 
 func TestStatsHealthzMetrics(t *testing.T) {
@@ -400,6 +414,9 @@ func TestStatsHealthzMetrics(t *testing.T) {
 	ts := st.Tenants[0]
 	if ts.Name != "serve" || ts.Hash != f.hash || ts.Decoded != 32 || ts.Requests != 1 || ts.Epochs < 2 {
 		t.Fatalf("tenant stats: %+v", ts)
+	}
+	if epochs, funcs, edges, maxID := stateSizes(t, f.snap); ts.Epochs != epochs || ts.Funcs != funcs || ts.Edges != edges || ts.MaxID != maxID {
+		t.Fatalf("tenant stats %+v, want %d epochs, %d funcs, %d edges, max id %d", ts, epochs, funcs, edges, maxID)
 	}
 	if st.Build.Version == "" || st.Build.GoVersion == "" {
 		t.Fatalf("stats carries no build info: %+v", st.Build)
